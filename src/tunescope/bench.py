@@ -11,9 +11,12 @@ natural-image benchmark; only the variation across networks matters.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +50,13 @@ from .stimulus import (
     write_stimulus_csv,
     write_stimulus_pgm,
 )
-from .targets import TargetHandle, match_fitness, sthor_network, unit_view
+from .targets import TargetHandle, match_fitness, spec_to_json, sthor_network, unit_view
 
 __all__ = [
     "TaskSpec",
     "BenchConfig",
     "BenchResult",
+    "MIN_NETWORKS_FOR_TABLE",
     "PairMatchingDetail",
     "generate_task_stimuli",
     "sample_references",
@@ -66,6 +70,9 @@ __all__ = [
     "run_study",
     "collect_reports",
 ]
+
+# the correlation stage needs at least this many networks
+MIN_NETWORKS_FOR_TABLE = 10
 
 # correlation-table row order; the spectrum column joins only the ALL fit
 FIG9_ROWS = (
@@ -467,6 +474,25 @@ def _network_dir(store: Path, index: int) -> Path:
     return store / f"network_{index:03d}"
 
 
+@contextmanager
+def _atomic_write(path: Path):
+    """Yield a temporary sibling of ``path`` to write; it replaces ``path``
+    only when the block finishes, so a killed run never leaves a partial
+    ``path`` behind."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_json(path: Path, blob) -> None:
+    with _atomic_write(path) as tmp, open(tmp, "w", encoding="ascii") as fh:
+        json.dump(blob, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_network_artifacts(
     net_dir: Path, performance: float, report: MeasureReport, artifacts: dict
 ) -> None:
@@ -479,19 +505,21 @@ def _write_network_artifacts(
         "performance": performance,
         "provenance": report.provenance,
     }
-    with open(net_dir / "report.json", "w", encoding="ascii") as fh:
-        json.dump(blob, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(net_dir / "report.json", blob)
 
 
 def _load_network(net_dir: Path) -> tuple[float, MeasureReport] | None:
-    path = net_dir / "report.json"
-    if not path.exists():
+    """A finished network's result, or None while it is pending.
+
+    A missing, truncated or unreadable ``report.json`` counts as pending.
+    """
+    try:
+        with open(net_dir / "report.json", encoding="ascii") as fh:
+            blob = json.load(fh)
+        report = MeasureReport(**blob["measures"], provenance=blob.get("provenance", {}))
+        return float(blob["performance"]), report
+    except (OSError, ValueError, KeyError, TypeError):
         return None
-    with open(path, encoding="ascii") as fh:
-        blob = json.load(fh)
-    report = MeasureReport(**blob["measures"], provenance=blob.get("provenance", {}))
-    return float(blob["performance"]), report
 
 
 def _study_network(
@@ -530,19 +558,38 @@ def _rebuild_and_study(payload: dict) -> tuple[int, float, MeasureReport]:
     return payload["index"], performance, report
 
 
+def _sha256(*arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def _network_fingerprint(handle: TargetHandle):
+    """Spec and kernel digest of a built cascade; other targets give their name."""
+    meta = handle.meta or {}
+    if "spec" not in meta:
+        return handle.name
+    return {
+        "spec": spec_to_json(meta["spec"]),
+        "kernels_sha256": _sha256(*meta["kernels"]),
+    }
+
+
 def _study_fingerprint(
     population, task: StimulusSet, references: StimulusSet, config: BenchConfig
 ) -> dict:
-    from dataclasses import asdict
-
     blob = {
         "seed": config.seed,
         "n_pairs": config.n_pairs,
         "unit_sample": config.unit_sample,
         "search": asdict(config.search),
         "n_networks": len(population),
+        "networks": [_network_fingerprint(handle) for handle in population],
         "n_task_items": len(task),
+        "task_sha256": _sha256(task.matrix()),
         "n_references": len(references),
+        "references_sha256": _sha256(references.matrix()),
     }
     # round-trip so tuples compare equal to a reloaded store fingerprint
     return json.loads(json.dumps(blob))
@@ -553,7 +600,7 @@ def _float_cell(value) -> str:
 
 
 def write_measures_csv(path, performances, reports) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with _atomic_write(Path(path)) as tmp, open(tmp, "w", encoding="ascii") as fh:
         fh.write("network,performance," + ",".join(MeasureReport.FIELDS) + "\n")
         for index, (performance, report) in enumerate(zip(performances, reports)):
             cells = [str(index), repr(float(performance))]
@@ -571,8 +618,9 @@ def run_study(
 
     Per-network results are persisted under ``store_dir`` as they finish
     and are reused on re-runs, so an interrupted study continues instead
-    of restarting.  The correlation stage needs at least 10 networks and
-    is skipped below that (smoke runs still emit the measure table).
+    of restarting.  The correlation stage needs ``MIN_NETWORKS_FOR_TABLE``
+    networks and is skipped below that (smoke runs still emit the measure
+    table).
     """
     if not population:
         raise ValueError("empty population")
@@ -588,9 +636,7 @@ def run_study(
                         f"artifact store {store} was built with a different study config"
                     )
         else:
-            with open(fp_path, "w", encoding="ascii") as fh:
-                json.dump(fingerprint, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(fp_path, fingerprint)
 
     split_seed = derive_int(config.seed, "pairs")
     results: dict[int, tuple[float, MeasureReport]] = {}
@@ -660,12 +706,13 @@ def run_study(
 
     correlation_rows: tuple[dict, ...] = ()
     all_r2 = None
-    if len(population) >= 10:
+    if len(population) >= MIN_NETWORKS_FOR_TABLE:
         correlation_rows, all_r2 = correlation_table(
             reports, performances, seed=config.seed
         )
         if store is not None:
-            write_correlation_csv(list(correlation_rows), store / "correlation.csv")
+            with _atomic_write(store / "correlation.csv") as tmp:
+                write_correlation_csv(list(correlation_rows), tmp)
             summary = {
                 "seed": config.seed,
                 "n_networks": len(population),
@@ -673,9 +720,7 @@ def run_study(
                 "performances": list(performances),
                 "correlations": list(correlation_rows),
             }
-            with open(store / "summary.json", "w", encoding="ascii") as fh:
-                json.dump(summary, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(store / "summary.json", summary)
 
     return BenchResult(
         performances=performances,

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import (
+    MIN_NETWORKS_FOR_TABLE,
     BenchConfig,
     TaskSpec,
     characterize_population,
@@ -80,9 +81,6 @@ __all__ = [
     "cmd_bench",
     "cmd_report",
 ]
-
-_MIN_NETWORKS_FOR_TABLE = 10
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -589,7 +587,7 @@ def cmd_bench(run: RunConfig) -> None:
     print(f"networks: {len(result.reports)}")
     print(f"store: {run.out}")
     if result.all_r2 is None:
-        print(f"correlation: skipped (needs {_MIN_NETWORKS_FOR_TABLE} networks)")
+        print(f"correlation: skipped (needs {MIN_NETWORKS_FOR_TABLE} networks)")
     else:
         print(f"all_r2: {result.all_r2!r}")
 
@@ -598,7 +596,7 @@ def cmd_report(run: RunConfig) -> None:
     performances, reports = collect_reports(run.options["store"])
     run.out.mkdir(parents=True, exist_ok=True)
     summary = {"n_networks": len(reports), "seed": run.seed, "all_r2": None}
-    if len(reports) >= _MIN_NETWORKS_FOR_TABLE:
+    if len(reports) >= MIN_NETWORKS_FOR_TABLE:
         rows, all_r2 = correlation_table(
             reports,
             np.asarray(performances),
@@ -612,7 +610,7 @@ def cmd_report(run: RunConfig) -> None:
     else:
         print(
             f"correlation: skipped ({len(reports)} networks, "
-            f"needs {_MIN_NETWORKS_FOR_TABLE})"
+            f"needs {MIN_NETWORKS_FOR_TABLE})"
         )
     _write_json(run.out / "summary.json", summary)
 

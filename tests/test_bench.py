@@ -440,6 +440,51 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             run_study(targets, task, refs, config.scaled(seed=2))
 
+    def test_changed_network_ranges_rejected_on_resume(self, tmp_path):
+        task = small_task()
+        refs = sample_references(task, 2, seed=9)
+        store = tmp_path / "store"
+        config = BenchConfig(seed=1, search=MICRO, n_pairs=60, unit_sample=1,
+                             store_dir=str(store))
+        first, _ = sample_network_population(
+            default_l1_spec(), 1, HyperRanges(pool_exponent=(1.0,)), seed=33
+        )
+        run_study(first, task, refs, config)
+        changed, _ = sample_network_population(
+            default_l1_spec(), 1, HyperRanges(pool_exponent=(10.0,)), seed=33
+        )
+        with pytest.raises(ValueError, match="different study config"):
+            run_study(changed, task, refs, config.scaled(resume=True))
+
+    def test_changed_task_rejected_on_resume(self, tmp_path):
+        targets, task, refs = study_fixtures(1)
+        store = tmp_path / "store"
+        config = BenchConfig(seed=1, search=MICRO, n_pairs=60, unit_sample=1,
+                             store_dir=str(store))
+        run_study(targets, task, refs, config)
+        other = small_task(seed=4)
+        with pytest.raises(ValueError, match="different study config"):
+            run_study(targets, other, sample_references(other, 2, seed=9), config)
+
+    def test_truncated_report_is_recomputed_on_resume(self, tmp_path):
+        targets, task, refs = study_fixtures(2)
+        store = tmp_path / "store"
+        config = BenchConfig(seed=1, search=MICRO, n_pairs=60, unit_sample=1,
+                             store_dir=str(store))
+        run_study(targets, task, refs, config)
+        report = store / "network_001" / "report.json"
+        finished = report.read_bytes()
+        measures = (store / "measures.csv").read_bytes()
+        # a run killed while writing left half a file behind
+        report.write_bytes(finished[: len(finished) // 2])
+        kept = store / "network_000" / "report.json"
+        stamp = kept.stat().st_mtime_ns
+        run_study(targets, task, refs, config.scaled(resume=True))
+        assert report.read_bytes() == finished
+        assert kept.stat().st_mtime_ns == stamp
+        assert (store / "measures.csv").read_bytes() == measures
+        assert not list(store.rglob("*.tmp"))
+
     def test_identical_population_fails_in_correlation_stage(self, tmp_path):
         task = small_task()
         refs = sample_references(task, 2, seed=9)

@@ -309,6 +309,20 @@ class TestBench:
                      "--resume", "--workers", "1"]) == 0
         assert (store / "measures.csv").read_bytes() == final
 
+    def test_resume_with_changed_ranges_refused(self, tmp_path, capsys):
+        blob = study_blob(n_networks=1)
+        blob["ranges"] = {"pool_exponent": [1.0]}
+        store = tmp_path / "store"
+        assert main(["bench", "--config", self.write_config(tmp_path, blob),
+                     "--out", str(store), "--workers", "1"]) == 0
+        before = (store / "measures.csv").read_bytes()
+        capsys.readouterr()
+        blob["ranges"] = {"pool_exponent": [10.0]}
+        assert main(["bench", "--config", self.write_config(tmp_path, blob),
+                     "--out", str(store), "--resume", "--workers", "1"]) == 2
+        assert "different study config" in error_payload(capsys)["message"]
+        assert (store / "measures.csv").read_bytes() == before
+
     def test_explicit_search_seed_rejected(self, tmp_path, capsys):
         blob = study_blob()
         blob["search"] = dict(MICRO_SEARCH, seed=9)

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tunescope.errors import RankDeficientError, ZeroVarianceError
@@ -120,6 +120,54 @@ class TestMultipleR2:
         assert multiple_r2(scaled, y) == pytest.approx(multiple_r2(x, y), abs=1e-10)
 
 
+def loop_permutation_p(a, b, statistic, n_perm, seed):
+    """Reference p-value, scoring one draw at a time.
+
+    ``mean_diff`` gathers each group in pooled order, like the chunked
+    kernel, so the two agree on draws that reproduce the observed split.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if statistic == "mean_diff":
+        pooled = np.concatenate([a, b])
+        size, n_a = pooled.size, a.size
+
+        def stat(order):
+            order = np.asarray(order)
+            group_a = pooled[np.sort(order[:n_a])]
+            group_b = pooled[np.sort(order[n_a:])]
+            return abs(float(group_a.mean() - group_b.mean()))
+
+        total = math.comb(size, n_a)
+        enumerated = (
+            picked + tuple(i for i in range(size) if i not in picked)
+            for picked in combinations(range(size), n_a)
+        )
+        observed = stat(range(size))
+        if total <= n_perm:
+            hits = sum(stat(order) >= observed - 1e-15 for order in enumerated)
+            return (1 + hits) / (1 + total)
+        rng = np.random.default_rng(seed)
+        hits = sum(stat(rng.permutation(size)) >= observed - 1e-15 for _ in range(n_perm))
+        return (1 + hits) / (1 + n_perm)
+
+    def slope(x, y):
+        dx = x - x.mean()
+        return float(dx @ (y - y.mean()) / (dx @ dx))
+
+    observed = abs(slope(a, b))
+    total = math.factorial(b.size)
+    if total <= n_perm:
+        hits = sum(
+            abs(slope(a, b[list(perm)])) >= observed - 1e-15
+            for perm in permutations(range(b.size))
+        )
+        return (1 + hits) / (1 + total)
+    rng = np.random.default_rng(seed)
+    hits = sum(abs(slope(a, rng.permutation(b))) >= observed - 1e-15 for _ in range(n_perm))
+    return (1 + hits) / (1 + n_perm)
+
+
 class TestPermutationTest:
     def test_identical_groups_p_near_one(self):
         p = permutation_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], n_perm=10_000)
@@ -182,6 +230,56 @@ class TestPermutationTest:
         b = rng.standard_normal(6)
         p = permutation_test(a, b, n_perm=500, seed=seed)
         assert 0.0 < p <= 1.0
+
+    @given(
+        statistic=st.sampled_from(["mean_diff", "slope"]),
+        size_a=st.integers(3, 12),
+        size_b=st.integers(3, 12),
+        scale=st.sampled_from([1e-3, 1e-1, 1.0, 10.0, 1e3]),
+        n_perm=st.sampled_from([50, 2500, 10_000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # numpy sums eight or more values pairwise along a contiguous row but
+    # in sequence down a column-major chunk, so this case needs row-major
+    # draws to agree with the oracle
+    @example(statistic="mean_diff", size_a=8, size_b=6, scale=1e3, n_perm=2500,
+             seed=678863358)
+    @settings(max_examples=40, deadline=None)
+    def test_chunked_draws_match_loop_oracle(
+        self, statistic, size_a, size_b, scale, n_perm, seed
+    ):
+        # continuous a at the given scale; b on the 1/200 grid of
+        # pair-matching accuracies, so b carries ties
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(size_a) * scale
+        size_b = size_a if statistic == "slope" else size_b
+        b = rng.integers(0, 201, size_b) / 200
+        expected = loop_permutation_p(a, b, statistic, n_perm, seed)
+        assert permutation_test(a, b, statistic, n_perm, seed) == expected
+
+    def test_reordered_observed_split_counts_as_hit(self):
+        # every mixed split sits far below the observed difference, so the
+        # hits are exactly the draws that redraw the observed split (or its
+        # mirror) in some order
+        a = np.array([1000.1, 1000.7, 999.3, 1000.9])
+        b = np.array([0.3, -0.2, 0.1, 0.45])
+        pooled = np.concatenate([a, b])
+        observed = abs(a.mean() - b.mean())
+        n_perm, seed = 60, 13
+        rng = np.random.default_rng(seed)
+        same_split = 0
+        unsorted_misses = 0
+        for _ in range(n_perm):
+            order = rng.permutation(pooled.size)
+            if set(order[:4]) in ({0, 1, 2, 3}, {4, 5, 6, 7}):
+                same_split += 1
+                shuffled = pooled[order]
+                if abs(shuffled[:4].mean() - shuffled[4:].mean()) < observed - 1e-15:
+                    unsorted_misses += 1
+        # summing in draw order would have dropped some of these hits
+        assert unsorted_misses > 0
+        p = permutation_test(a, b, n_perm=n_perm, seed=seed)
+        assert p == (1 + same_split) / (1 + n_perm)
 
     def test_unknown_statistic_rejected(self):
         with pytest.raises(ValueError):
