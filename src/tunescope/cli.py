@@ -24,6 +24,7 @@ from .bench import (
     MIN_NETWORKS_FOR_TABLE,
     BenchConfig,
     TaskSpec,
+    _atomic_write,
     characterize_population,
     characterize_unit,
     collect_reports,
@@ -213,7 +214,7 @@ def _jsonable(obj):
 
 
 def _write_json(path: Path, blob) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with _atomic_write(path) as tmp, open(tmp, "w", encoding="ascii") as fh:
         json.dump(blob, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
 
@@ -603,7 +604,8 @@ def cmd_report(run: RunConfig) -> None:
             seed=run.seed,
             n_perm=run.options["permutations"],
         )
-        write_correlation_csv(list(rows), run.out / "correlation.csv")
+        with _atomic_write(run.out / "correlation.csv") as tmp:
+            write_correlation_csv(list(rows), tmp)
         summary["all_r2"] = all_r2
         summary["correlations"] = list(rows)
         print(f"all_r2: {all_r2!r}")

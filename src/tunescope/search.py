@@ -23,6 +23,7 @@ from .solver import (
     maximize,
     minimize,
     seeded_init,
+    sphere_objective,
 )
 from .stimulus import Stimulus, angular_distance, random_orthogonal_unit
 from .targets import TargetHandle
@@ -124,18 +125,7 @@ class ReconstructionSet:
 
 def sphere_search_objective(target: TargetHandle, energy: float) -> ProjectedObjective:
     """Scalar target constrained to the energy sphere."""
-
-    def project(raw: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        return raw * (energy / norms)
-
-    return ProjectedObjective(
-        height=target.height,
-        width=target.width,
-        energy=energy,
-        project_batch=project,
-        fitness_batch=target.scalar_batch,
-    )
+    return sphere_objective(target.scalar_batch, (target.height, target.width), energy)
 
 
 def cone_search_objective(

@@ -6,6 +6,13 @@ control.  It runs unconstrained in the raw coordinate space; constraints
 enter only through the projection chain baked into the objective, so
 every fitness evaluation sees a feasible point and the returned best is
 feasible by construction.
+
+The covariance update is deferred.  Each generation's rank-one and
+rank-mu terms are kept as low-rank factors (rows of a preallocated
+buffer, scaled by the discounts applied since) and folded into the
+dense covariance only at the next eigendecomposition, the one place
+that reads it.  A generation therefore costs O(mu n) in the update
+instead of several n x n passes.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ __all__ = [
 ]
 
 _MAX_SNAPSHOTS = 64
+_MIN_DISCOUNT = np.finfo(np.float64).eps ** 2
 
 
 def default_population_size(n: int) -> int:
@@ -48,8 +56,6 @@ class SolverConfig:
     ``max_evaluations`` is the hard budget (lambda times the generation
     count, plus one for the feasible start point).  ``population_size``
     of None means the dimension-dependent default.
-    ``evaluation_repeats`` averages repeated calls per candidate for
-    noisy objectives; the repeats all count against the budget.
     """
 
     max_evaluations: int
@@ -58,7 +64,6 @@ class SolverConfig:
     step_tolerance: float = 1e-8
     stagnation_window: int = 20
     seed: int | np.random.SeedSequence = 0
-    evaluation_repeats: int = 1
 
     def resolved_population_size(self, n: int) -> int:
         lam = self.population_size if self.population_size is not None else default_population_size(n)
@@ -148,7 +153,14 @@ def sphere_objective(
 
 
 class _Strategy:
-    """Canonical CMA-ES state and update rules."""
+    """Canonical CMA-ES state and update rules.
+
+    The covariance is ``decay * (cov + R.T @ R)``, where the rows of
+    ``R`` are the scaled rank-one and rank-mu vectors of the
+    generations told since the last eigendecomposition and ``decay`` is
+    the product of their discounts.  ``_update_eigensystem`` folds them
+    into ``cov``; nothing else reads it.
+    """
 
     def __init__(self, x0: np.ndarray, sigma: float, lam: int, rng: np.random.Generator):
         n = x0.size
@@ -176,20 +188,31 @@ class _Strategy:
         self.cov = np.eye(n)
         self.eigenbasis = np.eye(n)
         self.scales = np.ones(n)
-        self.invsqrt = np.eye(n)
         self.counteval = 0
         self.updated_eval = 0
+
+        # At most ceil(gap / lam) generations are told between two
+        # eigendecompositions; one more is slack.
+        generations = int(np.ceil(self.lazy_gap_evals / lam)) + 1
+        self.pending = np.empty((generations * (mu + 1), n))
+        self.pending_rows = 0
+        self.decay = 1.0
+        self.row_weights = np.sqrt(np.concatenate(([self.c1], self.cmu * self.weights)))
 
     def _update_eigensystem(self) -> None:
         if self.counteval - self.updated_eval < self.lazy_gap_evals:
             return
+        pending = self.pending[: self.pending_rows]
+        self.cov += pending.T @ pending
+        self.cov *= self.decay
+        self.pending_rows = 0
+        self.decay = 1.0
         self.cov = (self.cov + self.cov.T) / 2
         eigvals, eigvecs = np.linalg.eigh(self.cov)
         floor = 1e-14 * float(np.trace(self.cov)) / self.n
         eigvals = np.maximum(eigvals, floor)
         self.scales = np.sqrt(eigvals)
         self.eigenbasis = eigvecs
-        self.invsqrt = (eigvecs / self.scales) @ eigvecs.T
         self.updated_eval = self.counteval
 
     def ask(self) -> np.ndarray:
@@ -206,19 +229,28 @@ class _Strategy:
         self.xmean = self.weights @ selected
 
         shift = (self.xmean - xold) / self.sigma
+        # C^-1/2 @ shift, from the eigensystem
         self.ps = (1 - self.cs) * self.ps + np.sqrt(
             self.cs * (2 - self.cs) * self.mueff
-        ) * (self.invsqrt @ shift)
+        ) * (self.eigenbasis @ ((shift @ self.eigenbasis) / self.scales))
         expected_decay = 1 - (1 - self.cs) ** (2 * self.counteval / self.lam)
         hsig = float(self.ps @ self.ps) / expected_decay / self.n < 2 + 4 / (self.n + 1)
         self.pc = (1 - self.cc) * self.pc + hsig * np.sqrt(
             self.cc * (2 - self.cc) * self.mueff
         ) * shift
 
-        deviations = (selected - xold) / self.sigma
-        rank_mu = deviations.T @ (self.weights[:, None] * deviations)
+        # A discount of exactly 0 (c1 + cmu == 1) would make the decay
+        # singular; at eps**2 the old covariance is below one ulp anyway.
         discount = 1 - self.c1 - self.cmu + (1 - hsig) * self.c1 * self.cc * (2 - self.cc)
-        self.cov = discount * self.cov + self.c1 * np.outer(self.pc, self.pc) + self.cmu * rank_mu
+        self.decay *= max(discount, _MIN_DISCOUNT)
+        start = self.pending_rows
+        rows = self.pending[start : start + self.mu + 1]
+        rows[0] = self.pc
+        np.subtract(selected, xold, out=rows[1:])
+        coef = self.row_weights / np.sqrt(self.decay)
+        coef[1:] /= self.sigma
+        rows *= coef[:, None]
+        self.pending_rows = start + self.mu + 1
 
         step = (self.cs / self.damps) * (np.linalg.norm(self.ps) / self.chi_n - 1)
         self.sigma *= float(np.exp(min(1.0, step)))
@@ -232,15 +264,11 @@ def _run(
 ) -> tuple[Stimulus, SearchTrace]:
     n = x0.size
     lam = config.resolved_population_size(n)
-    repeats = config.evaluation_repeats
     rng = np.random.default_rng(config.seed)
     trace = SearchTrace()
 
     def score_batch(raw: np.ndarray) -> np.ndarray:
         values = objective.evaluate_batch(raw)
-        for _ in range(repeats - 1):
-            values = values + objective.evaluate_batch(raw)
-        values = values / repeats
         if not np.all(np.isfinite(values)):
             err = NonFiniteObjectiveError("objective returned a non-finite value")
             err.trace = trace
@@ -250,8 +278,8 @@ def _run(
     strategy = _Strategy(x0.values, config.initial_step * x0.energy, lam, rng)
 
     f0 = float(score_batch(x0.values[None, :])[0])
-    strategy.counteval = repeats
-    trace.evaluations_used = repeats
+    strategy.counteval = 1
+    trace.evaluations_used = 1
     best_raw = x0.values.copy()
     best_score = sign * f0
     trace.record(trace.evaluations_used, f0, best_raw)
@@ -259,7 +287,7 @@ def _run(
     stalled = 0
     reason = TerminationReason.BUDGET
     while True:
-        if trace.evaluations_used + lam * repeats > config.max_evaluations:
+        if trace.evaluations_used + lam > config.max_evaluations:
             reason = TerminationReason.BUDGET
             break
         if strategy.sigma < config.step_tolerance * x0.energy:
@@ -271,7 +299,7 @@ def _run(
 
         points = strategy.ask()
         fitness = score_batch(points)
-        strategy.counteval += lam * repeats
+        strategy.counteval += lam
         trace.evaluations_used = strategy.counteval
         trace.generations += 1
         scores = sign * fitness

@@ -375,5 +375,28 @@ class TestReport:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["all_r2"] == float(all_row[2])
 
+    @pytest.mark.parametrize("name", ["summary.json", "correlation.csv"])
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, capsys, monkeypatch, name):
+        store = self.fabricate_store(tmp_path)
+        argv = ["report", "--store", str(store), "--seed", "1", "--permutations", "50"]
+        assert main(argv) == 0
+        previous = (store / name).read_bytes()
+
+        def truncated(fh):
+            fh.write("measure,spe")
+            raise OSError("disk full")
+
+        def truncated_csv(rows, path):
+            with open(path, "w", encoding="ascii") as fh:
+                truncated(fh)
+
+        if name == "summary.json":
+            monkeypatch.setattr(json, "dump", lambda blob, fh, **kw: truncated(fh))
+        else:
+            monkeypatch.setattr("tunescope.cli.write_correlation_csv", truncated_csv)
+        assert main(argv) == 2
+        assert (store / name).read_bytes() == previous
+        assert not list(store.glob(".*.tmp"))
+
     def test_missing_store_is_config_error(self, tmp_path, capsys):
         assert main(["report", "--store", str(tmp_path / "absent")]) == 1

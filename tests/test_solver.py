@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tunescope.errors import NonFiniteObjectiveError
 from tunescope.solver import (
     SolverConfig,
     TerminationReason,
+    _Strategy,
     default_population_size,
     maximize,
     minimize,
@@ -141,21 +144,6 @@ class TestBudgetAndTrace:
         assert trace_a.best_fitness_history == trace_b.best_fitness_history
         assert trace_a.termination_reason == trace_b.termination_reason
 
-    def test_repeated_evaluations_average_noise_and_count_budget(self):
-        n = 4
-        rng = np.random.default_rng(20)
-
-        def noisy(x):
-            return x[:, 0] + 0.01 * rng.standard_normal(len(x))
-
-        objective = sphere_objective(noisy, (2, 2))
-        x0 = start_point(n, (2, 2), seed=21)
-        config = SolverConfig(max_evaluations=400, seed=22, evaluation_repeats=4)
-        _, trace = maximize(objective, x0, config)
-        lam = default_population_size(n)
-        assert trace.evaluations_used == 4 + trace.generations * lam * 4
-        assert trace.evaluations_used <= 400
-
     def test_trace_serialization(self, tmp_path):
         n = 4
         objective = linear_objective(np.ones(n), (2, 2))
@@ -219,3 +207,121 @@ class TestFullPipelineOnLinearNeuron:
             if cosine(best.values, w) >= 0.99:
                 hits += 1
         assert hits >= 19
+
+
+def eager_covariance(strategy, cov, points, scores, xold, sigma):
+    """The covariance after one tell, updated in full (the reference).
+
+    ``strategy`` has been told already, so ``pc`` and ``ps`` are the new
+    ones; ``xold`` and ``sigma`` are the mean and step before the tell.
+    """
+    s = strategy
+    selected = points[np.argsort(-scores, kind="stable")[: s.mu]]
+    deviations = (selected - xold) / sigma
+    rank_mu = deviations.T @ (s.weights[:, None] * deviations)
+    expected_decay = 1 - (1 - s.cs) ** (2 * s.counteval / s.lam)
+    hsig = float(s.ps @ s.ps) / expected_decay / s.n < 2 + 4 / (s.n + 1)
+    discount = 1 - s.c1 - s.cmu + (1 - hsig) * s.c1 * s.cc * (2 - s.cc)
+    return discount * cov + s.c1 * np.outer(s.pc, s.pc) + s.cmu * rank_mu, hsig
+
+
+def new_strategy(n, lam, seed):
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(n)
+    strategy = _Strategy(x0 / np.linalg.norm(x0), 0.3, lam, np.random.default_rng(seed + 1))
+    strategy.counteval = 1  # the feasible start point, as in a search
+    return strategy
+
+
+class TestDeferredCovariance:
+    @given(
+        n=st.integers(2, 441),
+        lam=st.integers(2, 64),
+        folds=st.integers(1, 3),
+        linear=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, deadline=None)
+    # default population at n=441: the linear objective switches hsig off
+    @example(n=441, lam=22, folds=2, linear=True, seed=0)
+    # c1 + cmu == 1 here, so every discount with hsig on is exactly 0
+    @example(n=2, lam=64, folds=3, linear=False, seed=1)
+    @example(n=121, lam=2, folds=1, linear=False, seed=2)
+    def test_folded_matches_eager(self, n, lam, folds, linear, seed):
+        """Random scores keep hsig on; a linear objective turns it off."""
+        strategy = new_strategy(n, lam, seed)
+        score_rng = np.random.default_rng(seed + 2)
+        direction = score_rng.standard_normal(n)
+        epoch = int(np.ceil(strategy.lazy_gap_evals / lam))
+        # end mid-epoch: the last generations are told but never folded
+        generations = folds * epoch + max(1, epoch // 2)
+        eager = np.eye(n)
+        seen_folds = 0
+        seen_hsig = set()
+        for _ in range(generations):
+            before = strategy.updated_eval
+            xold, sigma = strategy.xmean.copy(), strategy.sigma
+            points = strategy.ask()
+            if strategy.updated_eval != before:
+                seen_folds += 1
+                err = np.max(np.abs(strategy.cov - eager)) / np.max(np.abs(eager))
+                assert err <= 1e-12
+            strategy.counteval += lam
+            scores = points @ direction if linear else score_rng.standard_normal(lam)
+            strategy.tell(points, scores)
+            eager, hsig = eager_covariance(strategy, eager, points, scores, xold, sigma)
+            seen_hsig.add(hsig)
+        assert seen_folds >= folds
+        if (n, lam, linear) == (441, 22, True):
+            assert seen_hsig == {False, True}
+        if (n, lam, linear) == (2, 64, False):
+            assert 1 - strategy.c1 - strategy.cmu == 0 and True in seen_hsig
+
+    def test_tell_allocates_no_square_matrix(self):
+        n = 441
+        strategy = new_strategy(n, default_population_size(n), seed=3)
+        direction = np.random.default_rng(4).standard_normal(n)
+        for _ in range(5):
+            points = strategy.ask()
+            strategy.counteval += strategy.lam
+            scores = points @ direction
+            tracemalloc.start()
+            try:
+                strategy.tell(points, scores)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8
+
+    def test_eigensystem_updates_are_folds(self, monkeypatch):
+        """``updated_eval`` moves exactly when ``eigh`` runs, and each
+        ``eigh`` follows one fold of pending rows."""
+        counts = {"eigh": 0, "folds": 0, "updates": 0}
+        eigh = np.linalg.eigh
+
+        def counting_eigh(matrix):
+            counts["eigh"] += 1
+            return eigh(matrix)
+
+        update = _Strategy._update_eigensystem
+
+        def watched(strategy):
+            eigh_before = counts["eigh"]
+            eval_before, rows_before = strategy.updated_eval, strategy.pending_rows
+            update(strategy)
+            ran = counts["eigh"] != eigh_before
+            assert (strategy.updated_eval != eval_before) == ran
+            counts["updates"] += ran
+            counts["folds"] += rows_before > 0 and strategy.pending_rows == 0
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(_Strategy, "_update_eigensystem", watched)
+        n = 121
+        w = np.random.default_rng(5).standard_normal(n)
+        objective = linear_objective(w, (11, 11))
+        x0 = start_point(n, (11, 11), seed=6)
+        config = SolverConfig(max_evaluations=20 * n, seed=7, stagnation_window=10**9)
+        _, trace = maximize(objective, x0, config)
+        assert trace.termination_reason is TerminationReason.BUDGET
+        assert counts["updates"] > 0
+        assert counts["folds"] == counts["eigh"] == counts["updates"]
