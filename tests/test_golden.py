@@ -1,0 +1,85 @@
+"""Golden artifact bytes.
+
+Pins the sha256 of every file that a tiny run of the command line
+writes: a one-level cascade from ``gen-net``, ``characterize`` and
+``paths`` on one of its units, and a ten-network ``bench`` store (so
+the correlation stage runs).  Budgets are cut to a few generations per
+search so the whole run takes seconds.
+
+Float bytes depend on the numpy and BLAS build, so ``golden_sha256.json``
+records the build beside the hashes.  On any other build this test
+fails and names both builds; re-record the file there (the failure
+message prints the new hashes) rather than skipping the test.  A change
+that alters the bytes on purpose re-records them and says why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+
+from tunescope.cli import main
+
+SEARCH = {
+    "optimal_runs": 1,
+    "optimal_budget_per_dim": 2,
+    "seed_candidates": 16,
+    "path_budget_per_dim": 1,
+    "subspace_runs": 2,
+    "reconstruct_runs": 1,
+    "reconstruct_budget_per_dim": 2,
+}
+TASK = {"n_classes": 4, "samples_per_class": 6, "seed": 3}
+STUDY = {
+    "seed": 4,
+    "levels": 1,
+    "n_networks": 10,
+    "task": {"n_classes": 4, "samples_per_class": 6},
+    "n_references": 2,
+    "n_pairs": 60,
+    "unit_sample": 1,
+    "search": SEARCH,
+}
+COMMANDS = (
+    ["gen-net", "--levels", "1", "--seed", "5", "--out", "out/net"],
+    ["characterize", "--target", "out/net", "--unit", "0", "--task", "task.json",
+     "--seed", "3", "--config", "search.json", "--walks", "2", "--out", "out/char"],
+    ["paths", "--target", "out/net", "--unit", "1", "--seed", "3",
+     "--config", "search.json", "--walks", "2", "--out", "out/paths"],
+    ["bench", "--config", "study.json", "--out", "out/store", "--workers", "1"],
+)
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_sha256.json").read_text())
+
+
+def running_build() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def test_artifact_bytes_match_golden(tmp_path, monkeypatch, capsys):
+    # relative paths only, so no file records where the run took place
+    monkeypatch.chdir(tmp_path)
+    Path("search.json").write_text(json.dumps(SEARCH))
+    Path("task.json").write_text(json.dumps(TASK))
+    Path("study.json").write_text(json.dumps(STUDY))
+    for argv in COMMANDS:
+        assert main(argv) == 0, argv
+    digests = {
+        path.relative_to("out").as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(Path("out").rglob("*"))
+        if path.is_file()
+    }
+
+    build, recorded = running_build(), GOLDEN["build"]
+    pinned = GOLDEN["sha256"]
+    changed = sorted(
+        name for name in set(digests) | set(pinned) if digests.get(name) != pinned.get(name)
+    )
+    table = json.dumps({"build": build, "sha256": digests}, indent=2, sort_keys=True)
+    assert build == recorded and not changed, (
+        f"golden hashes were recorded on numpy {recorded['numpy']} with {recorded['blas']}; "
+        f"this run is numpy {build['numpy']} with {build['blas']}. "
+        f"Files that differ: {changed}. This run:\n{table}"
+    )
