@@ -67,6 +67,7 @@ __all__ = [
     "characterize_unit",
     "characterize_population",
     "correlation_table",
+    "correlation_stage",
     "run_study",
     "collect_reports",
 ]
@@ -487,9 +488,20 @@ def _atomic_write(path: Path):
         tmp.unlink(missing_ok=True)
 
 
+def _jsonable(obj):
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, Path):
+        return str(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 def _write_json(path: Path, blob) -> None:
+    """The one JSON artifact writer: sorted keys, atomic replace."""
     with _atomic_write(path) as tmp, open(tmp, "w", encoding="ascii") as fh:
-        json.dump(blob, fh, indent=2, sort_keys=True)
+        json.dump(blob, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
 
 
@@ -608,6 +620,29 @@ def write_measures_csv(path, performances, reports) -> None:
             fh.write(",".join(cells) + "\n")
 
 
+def correlation_stage(
+    out: Path | None, reports, performances, seed: int, n_perm: int = 10_000
+) -> tuple[tuple[dict, ...], float | None]:
+    """Correlate measures with performance; write the result under ``out``.
+
+    Below ``MIN_NETWORKS_FOR_TABLE`` networks the table is skipped and
+    ``all_r2`` is None.  With ``out`` given, ``summary.json`` is always
+    written and ``correlation.csv`` only when the table ran.
+    """
+    rows: tuple[dict, ...] = ()
+    summary = {"seed": seed, "n_networks": len(reports), "all_r2": None,
+               "performances": list(performances)}
+    if len(reports) >= MIN_NETWORKS_FOR_TABLE:
+        rows, summary["all_r2"] = correlation_table(reports, performances, seed=seed, n_perm=n_perm)
+        summary["correlations"] = list(rows)
+        if out is not None:
+            with _atomic_write(out / "correlation.csv") as tmp:
+                write_correlation_csv(list(rows), tmp)
+    if out is not None:
+        _write_json(out / "summary.json", summary)
+    return rows, summary["all_r2"]
+
+
 def run_study(
     population: list[TargetHandle],
     task: StimulusSet,
@@ -620,7 +655,7 @@ def run_study(
     and are reused on re-runs, so an interrupted study continues instead
     of restarting.  The correlation stage needs ``MIN_NETWORKS_FOR_TABLE``
     networks and is skipped below that (smoke runs still emit the measure
-    table).
+    table and ``summary.json``).
     """
     if not population:
         raise ValueError("empty population")
@@ -704,24 +739,7 @@ def run_study(
     if store is not None:
         write_measures_csv(store / "measures.csv", performances, reports)
 
-    correlation_rows: tuple[dict, ...] = ()
-    all_r2 = None
-    if len(population) >= MIN_NETWORKS_FOR_TABLE:
-        correlation_rows, all_r2 = correlation_table(
-            reports, performances, seed=config.seed
-        )
-        if store is not None:
-            with _atomic_write(store / "correlation.csv") as tmp:
-                write_correlation_csv(list(correlation_rows), tmp)
-            summary = {
-                "seed": config.seed,
-                "n_networks": len(population),
-                "all_r2": all_r2,
-                "performances": list(performances),
-                "correlations": list(correlation_rows),
-            }
-            _write_json(store / "summary.json", summary)
-
+    correlation_rows, all_r2 = correlation_stage(store, reports, performances, config.seed)
     return BenchResult(
         performances=performances,
         reports=reports,

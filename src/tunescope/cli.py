@@ -24,11 +24,11 @@ from .bench import (
     MIN_NETWORKS_FOR_TABLE,
     BenchConfig,
     TaskSpec,
-    _atomic_write,
+    _write_json,
     characterize_population,
     characterize_unit,
     collect_reports,
-    correlation_table,
+    correlation_stage,
     generate_task_stimuli,
     run_study,
     sample_references,
@@ -37,23 +37,20 @@ from .measures import (
     MeasureReport,
     build_fd_diagram,
     encoding_specificity,
+    report_to_json,
     subspace_alignment,
     subspace_capacity,
     write_fd_csv,
-    write_report_json,
 )
 from .search import (
     SearchConfig,
-    invariance_path,
     optimal_stimulus,
     random_walk_curve,
     reconstruct,
-    selectivity_path,
     subspace_sample,
 )
 from .seeds import derive_int, derive_rng
 from .stimulus import Stimulus, StimulusSet, write_stimulus_csv, write_stimulus_pgm
-from .stats import write_correlation_csv
 from .targets import (
     HyperRanges,
     TargetHandle,
@@ -201,22 +198,6 @@ def _check_task_shape(target: TargetHandle, task: StimulusSet | None) -> None:
 
 # ---------------------------------------------------------------------------
 # emission
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Path):
-        return str(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _write_json(path: Path, blob) -> None:
-    with _atomic_write(path) as tmp, open(tmp, "w", encoding="ascii") as fh:
-        json.dump(blob, fh, indent=2, sort_keys=True, default=_jsonable)
-        fh.write("\n")
 
 
 def _write_matrix_csv(path: Path, stimuli) -> None:
@@ -484,7 +465,7 @@ def cmd_characterize(run: RunConfig) -> None:
     run.out.mkdir(parents=True, exist_ok=True)
     _emit_paths(run, optimal, artifacts["paths"], walks)
     _emit_subspace(run, artifacts["subspace"])
-    write_report_json(report, run.out / "report.json")
+    _write_json(run.out / "report.json", report_to_json(report))
     _write_run_json(run)
     print(f"optimum_fitness: {optimal.fitness!r}")
     _print_report(report)
@@ -492,14 +473,11 @@ def cmd_characterize(run: RunConfig) -> None:
 
 def cmd_paths(run: RunConfig) -> None:
     target = _scalar_target(run)
-    optimal = optimal_stimulus(target, run.search)
-    paths = [
-        invariance_path(target, optimal.x_hat, run.search),
-        selectivity_path(target, optimal.x_hat, run.search),
-    ]
+    _, artifacts = characterize_unit(target, run.search)
+    optimal = artifacts["optimal"]
     walks = _walks_for(run, target, optimal.x_hat)
     run.out.mkdir(parents=True, exist_ok=True)
-    _emit_paths(run, optimal, paths, walks)
+    _emit_paths(run, optimal, artifacts["paths"], walks)
     _write_run_json(run)
     print(f"optimum_fitness: {optimal.fitness!r}")
     print(f"fd: {run.out / 'fd.csv'}")
@@ -575,7 +553,7 @@ def cmd_measure(run: RunConfig) -> None:
     run.out.mkdir(parents=True, exist_ok=True)
     write_stimulus_csv(x_hat, run.out / "x_hat.csv")
     write_stimulus_pgm(x_hat, run.out / "x_hat.pgm")
-    write_report_json(report, run.out / "report.json")
+    _write_json(run.out / "report.json", report_to_json(report))
     _write_run_json(run)
     _print_report(report)
 
@@ -596,25 +574,16 @@ def cmd_bench(run: RunConfig) -> None:
 def cmd_report(run: RunConfig) -> None:
     performances, reports = collect_reports(run.options["store"])
     run.out.mkdir(parents=True, exist_ok=True)
-    summary = {"n_networks": len(reports), "seed": run.seed, "all_r2": None}
-    if len(reports) >= MIN_NETWORKS_FOR_TABLE:
-        rows, all_r2 = correlation_table(
-            reports,
-            np.asarray(performances),
-            seed=run.seed,
-            n_perm=run.options["permutations"],
-        )
-        with _atomic_write(run.out / "correlation.csv") as tmp:
-            write_correlation_csv(list(rows), tmp)
-        summary["all_r2"] = all_r2
-        summary["correlations"] = list(rows)
-        print(f"all_r2: {all_r2!r}")
-    else:
+    _, all_r2 = correlation_stage(
+        run.out, reports, performances, run.seed, n_perm=run.options["permutations"]
+    )
+    if all_r2 is None:
         print(
             f"correlation: skipped ({len(reports)} networks, "
             f"needs {MIN_NETWORKS_FOR_TABLE})"
         )
-    _write_json(run.out / "summary.json", summary)
+    else:
+        print(f"all_r2: {all_r2!r}")
 
 
 # ---------------------------------------------------------------------------

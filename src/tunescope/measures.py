@@ -10,7 +10,6 @@ columns, cosine-baseline paths) land exactly on the bound.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "build_fd_diagram",
     "write_fd_csv",
     "report_to_json",
-    "write_report_json",
 ]
 
 
@@ -336,9 +334,3 @@ def report_to_json(report: MeasureReport) -> dict:
     blob = report.as_dict()
     blob["provenance"] = report.provenance
     return blob
-
-
-def write_report_json(report: MeasureReport, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(report_to_json(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -25,7 +25,7 @@ from .solver import (
     seeded_init,
     sphere_objective,
 )
-from .stimulus import Stimulus, angular_distance, random_orthogonal_unit
+from .stimulus import Stimulus, angular_distance, project_cone_batch, random_orthogonal_unit
 from .targets import TargetHandle
 
 __all__ = [
@@ -47,8 +47,6 @@ __all__ = [
     "default_deltas",
 ]
 
-_DEGENERATE_TOL = 1e-12
-
 
 def default_deltas() -> tuple[float, ...]:
     return tuple(0.1 * np.pi * k for k in range(1, 6))
@@ -60,7 +58,8 @@ class SearchConfig:
 
     Budgets are per dimension: a target with N inputs gets
     ``optimal_budget_per_dim * N`` evaluations for each optimal-stimulus
-    run and ``path_budget_per_dim * N`` per cone angle.
+    run and ``path_budget_per_dim * N`` per cone angle.  Cone angles
+    (``deltas`` and ``subspace_delta``) must lie in (0, pi].
     """
 
     seed: int = 0
@@ -79,6 +78,11 @@ class SearchConfig:
     reconstruct_budget_per_dim: int = 100
     stagnation_window: int = 20
     step_tolerance: float = 1e-8
+
+    def __post_init__(self) -> None:
+        for delta in (*self.deltas, self.subspace_delta):
+            if not 0 < delta <= np.pi:
+                raise ValueError(f"cone angle {delta} outside (0, pi]")
 
     def scaled(self, **overrides) -> "SearchConfig":
         return replace(self, **overrides)
@@ -137,31 +141,13 @@ def cone_search_objective(
     """Scalar target constrained to the cone at ``delta`` around ``x_hat``.
 
     Raw points parallel to the axis have no direction on the cone; such
-    rows get a random orthogonal direction from ``fallback_rng`` (the
-    same substitution the scalar projection delegates to its caller).
+    rows get a random orthogonal direction from ``fallback_rng``.
     """
-    axis = x_hat.values
-    energy = x_hat.energy
-    cos_part = np.cos(delta) * axis
-    sin_scale = energy * np.sin(delta)
-
-    def project(raw: np.ndarray) -> np.ndarray:
-        coeff = (raw @ axis) / (energy * energy)
-        residual = raw - coeff[:, None] * axis
-        norms = np.linalg.norm(residual, axis=1)
-        bad = norms < _DEGENERATE_TOL
-        if np.any(bad):
-            for row in np.flatnonzero(bad):
-                substitute = random_orthogonal_unit(x_hat, fallback_rng)
-                residual[row] = substitute.values
-                norms[row] = np.linalg.norm(substitute.values)
-        return cos_part + residual * (sin_scale / norms[:, None])
-
     return ProjectedObjective(
         height=x_hat.height,
         width=x_hat.width,
-        energy=energy,
-        project_batch=project,
+        energy=x_hat.energy,
+        project_batch=lambda raw: project_cone_batch(raw, x_hat, delta, fallback_rng),
         fitness_batch=target.scalar_batch,
     )
 

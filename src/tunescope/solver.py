@@ -17,7 +17,6 @@ instead of several n x n passes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -37,11 +36,8 @@ __all__ = [
     "maximize",
     "minimize",
     "seeded_init",
-    "write_trace_csv",
-    "trace_to_json",
 ]
 
-_MAX_SNAPSHOTS = 64
 _MIN_DISCOUNT = np.finfo(np.float64).eps ** 2
 
 
@@ -82,27 +78,18 @@ class TerminationReason(str, Enum):
 
 @dataclass
 class SearchTrace:
-    """Best-so-far history of one run.
+    """Best-so-far history and accounting of one run.
 
     ``best_fitness_history`` holds (evaluations_used, objective value)
     pairs appended on every strict improvement; the value column is
-    monotone in the direction of the search.  ``best_point_history``
-    keeps a thinned subset of the corresponding iterates.
+    monotone in the direction of the search.  The trace keeps no
+    iterates; the best point is what the search returns.
     """
 
     best_fitness_history: list[tuple[int, float]] = field(default_factory=list)
-    best_point_history: list[tuple[int, np.ndarray]] = field(default_factory=list)
     termination_reason: TerminationReason | None = None
     evaluations_used: int = 0
     generations: int = 0
-
-    def record(self, evaluations: int, fitness: float, point: np.ndarray) -> None:
-        self.best_fitness_history.append((evaluations, fitness))
-        self.best_point_history.append((evaluations, point.copy()))
-        if len(self.best_point_history) > _MAX_SNAPSHOTS:
-            # keep first, last, and every other one in between
-            kept = self.best_point_history[:-1:2] + [self.best_point_history[-1]]
-            self.best_point_history = kept
 
     @property
     def best_fitness(self) -> float:
@@ -282,7 +269,7 @@ def _run(
     trace.evaluations_used = 1
     best_raw = x0.values.copy()
     best_score = sign * f0
-    trace.record(trace.evaluations_used, f0, best_raw)
+    trace.best_fitness_history.append((trace.evaluations_used, f0))
 
     stalled = 0
     reason = TerminationReason.BUDGET
@@ -309,7 +296,7 @@ def _run(
         if scores[gen_best] > best_score:
             best_score = float(scores[gen_best])
             best_raw = points[gen_best].copy()
-            trace.record(trace.evaluations_used, float(fitness[gen_best]), best_raw)
+            trace.best_fitness_history.append((trace.evaluations_used, float(fitness[gen_best])))
             stalled = 0
         else:
             stalled += 1
@@ -360,34 +347,3 @@ def seeded_init(
     best = int(np.argmax(fitness))
     return objective.as_stimulus(candidates[best]), float(fitness[best]), n_candidates
 
-
-# ---------------------------------------------------------------------------
-# trace serialization
-
-
-def write_trace_csv(trace: SearchTrace, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("evaluations,best_fitness\n")
-        for evaluations, fitness in trace.best_fitness_history:
-            fh.write(f"{evaluations},{float(fitness)!r}\n")
-
-
-def trace_to_json(trace: SearchTrace) -> dict:
-    return {
-        "best_fitness_history": [
-            [int(e), float(f)] for e, f in trace.best_fitness_history
-        ],
-        "best_point_history": [
-            {"evaluations": int(e), "point": [float(v) for v in p]}
-            for e, p in trace.best_point_history
-        ],
-        "termination_reason": trace.termination_reason.value if trace.termination_reason else None,
-        "evaluations_used": int(trace.evaluations_used),
-        "generations": int(trace.generations),
-    }
-
-
-def write_trace_json(trace: SearchTrace, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(trace_to_json(trace), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -25,6 +25,7 @@ __all__ = [
     "StimulusSet",
     "project_sphere",
     "project_cone",
+    "project_cone_batch",
     "sample_pink_noise",
     "random_orthogonal_unit",
     "angular_distance",
@@ -158,28 +159,51 @@ def project_sphere(values: np.ndarray, energy: float, shape: tuple[int, int] | N
     return Stimulus(values=flat * (energy / norm), height=height, width=width, energy=energy)
 
 
-def project_cone(x: Stimulus, x_hat: Stimulus, delta: float) -> Stimulus:
-    """Project onto the cone at angle ``delta`` around the axis ``x_hat``.
+def project_cone_batch(
+    raw: np.ndarray,
+    x_hat: Stimulus,
+    delta: float,
+    fallback_rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Project each row of ``raw`` onto the cone at ``delta`` around ``x_hat``.
 
-    The output keeps the energy of ``x_hat`` and sits at exactly
-    ``delta`` radians from it.  The component of ``x`` along the axis is
-    discarded; only its orthogonal direction survives.
+    Every output row keeps the energy of ``x_hat`` and sits at exactly
+    ``delta`` radians from it.  A row's component along the axis is
+    discarded; only its orthogonal direction survives.  A row parallel
+    to the axis has no such direction: it gets a random orthogonal one
+    drawn from ``fallback_rng``, or raises ``DegenerateDirectionError``
+    when no generator is given.
+    """
+    if not (0 < delta <= np.pi):
+        raise ValueError(f"delta {delta} outside (0, pi]")
+    axis = x_hat.values
+    energy = x_hat.energy
+    coeff = (raw @ axis) / (energy * energy)
+    residual = raw - coeff[:, None] * axis
+    norms = np.linalg.norm(residual, axis=1)
+    bad = norms < _DEGENERATE_TOL
+    if np.any(bad):
+        if fallback_rng is None:
+            raise DegenerateDirectionError(
+                "point is parallel to the cone axis; resupply a random direction"
+            )
+        for row in np.flatnonzero(bad):
+            substitute = random_orthogonal_unit(x_hat, fallback_rng)
+            residual[row] = substitute.values
+            norms[row] = np.linalg.norm(substitute.values)
+    return np.cos(delta) * axis + residual * (energy * np.sin(delta) / norms[:, None])
+
+
+def project_cone(x: Stimulus, x_hat: Stimulus, delta: float) -> Stimulus:
+    """Project one stimulus onto the cone at ``delta`` around ``x_hat``.
+
+    A batch of one for ``project_cone_batch``, with no fallback
+    direction.
     """
     if x.shape != x_hat.shape:
         raise ValueError("stimulus and axis shapes differ")
-    if not (0 < delta <= np.pi):
-        raise ValueError(f"delta {delta} outside (0, pi]")
-    energy = x_hat.energy
-    axis = x_hat.values
-    coeff = float(axis @ x.values) / (energy * energy)
-    residual = x.values - coeff * axis
-    res_norm = float(np.linalg.norm(residual))
-    if res_norm < _DEGENERATE_TOL:
-        raise DegenerateDirectionError(
-            "point is parallel to the cone axis; resupply a random direction"
-        )
-    out = np.cos(delta) * axis + (energy * np.sin(delta) / res_norm) * residual
-    return Stimulus(values=out, height=x.height, width=x.width, energy=energy)
+    out = project_cone_batch(x.values[None, :], x_hat, delta)[0]
+    return Stimulus(values=out, height=x.height, width=x.width, energy=x_hat.energy)
 
 
 def _radial_frequency(height: int, width: int) -> np.ndarray:

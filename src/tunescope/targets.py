@@ -15,7 +15,7 @@ are safe to share across worker processes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -503,53 +503,22 @@ def sample_network_population(
 
 
 def spec_to_json(spec: SthorSpec) -> dict:
-    return {
-        "top_layer_neurons": spec.top_layer_neurons,
-        "weight_seed": int(spec.weight_seed),
-        "declared_input": spec.declared_input,
-        "levels": [
-            {
-                "kernel_size": lv.kernel_size,
-                "n_filters": lv.n_filters,
-                "activation": lv.activation,
-                "clip_bounds": list(lv.clip_bounds),
-                "pool_size": lv.pool_size,
-                "pool_stride": lv.pool_stride,
-                "pool_exponent": lv.pool_exponent,
-                "norm_enabled": lv.norm_enabled,
-                "norm_radius": lv.norm_radius,
-                "norm_strength": lv.norm_strength,
-                "norm_threshold": lv.norm_threshold,
-            }
-            for lv in spec.levels
-        ],
-    }
+    return asdict(spec)
 
 
 def spec_from_json(blob: dict) -> SthorSpec:
-    levels = tuple(
-        LevelSpec(
-            kernel_size=lv["kernel_size"],
-            n_filters=lv["n_filters"],
-            activation=lv["activation"],
-            clip_bounds=tuple(lv["clip_bounds"]),
-            pool_size=lv["pool_size"],
-            pool_stride=lv["pool_stride"],
-            pool_exponent=lv["pool_exponent"],
-            norm_enabled=lv["norm_enabled"],
-            norm_radius=lv["norm_radius"],
-            norm_strength=lv["norm_strength"],
-            norm_threshold=lv["norm_threshold"],
-        )
-        for lv in blob["levels"]
-    )
-    seed = blob.get("weight_seed")
-    return SthorSpec(
-        levels=levels,
-        top_layer_neurons=blob["top_layer_neurons"],
-        weight_seed=seed if seed is not None else 0,
-        declared_input=blob.get("declared_input"),
-    )
+    """Inverse of ``spec_to_json``.
+
+    Omitted keys, and top-level keys set to null, take the dataclass
+    defaults; unknown keys raise ``TypeError``.
+    """
+    levels = []
+    for lv in blob["levels"]:
+        if "clip_bounds" in lv:
+            lv = {**lv, "clip_bounds": tuple(lv["clip_bounds"])}
+        levels.append(LevelSpec(**lv))
+    top = {key: value for key, value in blob.items() if value is not None}
+    return SthorSpec(**{**top, "levels": tuple(levels)})
 
 
 def write_network_weights(kernels: list[np.ndarray], path) -> None:

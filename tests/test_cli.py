@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +106,19 @@ class TestGenNet:
             second / "weights.bin"
         ).read_bytes()
 
+    def test_unknown_spec_key_is_config_error(self, tmp_path, capsys):
+        first = tmp_path / "a"
+        assert main(["gen-net", "--seed", "5", "--out", str(first)]) == 0
+        spec = json.loads((first / "manifest.json").read_text())["spec"]
+        spec["levels"][0]["pool_exponnt"] = 2.0  # typo
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        capsys.readouterr()
+        second = tmp_path / "b"
+        assert main(["gen-net", "--spec", str(spec_path), "--out", str(second)]) == 1
+        assert "pool_exponnt" in error_payload(capsys)["message"]
+        assert not second.exists()
+
 
 class TestCharacterize:
     def test_linear_builtin_baseline(self, tmp_path, capsys):
@@ -148,6 +162,18 @@ class TestCharacterize:
                      "--config", micro_config,
                      "--out", str(tmp_path / "char")]) == 1
         assert error_payload(capsys)["type"] == "ValueError"
+
+    @pytest.mark.parametrize("bad", [{"deltas": [4.0]}, {"deltas": [0.0, 0.5]},
+                                     {"subspace_delta": -0.1}])
+    def test_cone_angle_outside_range_is_config_error(self, tmp_path, capsys, bad):
+        config = tmp_path / "search.json"
+        config.write_text(json.dumps(dict(MICRO_SEARCH, **bad)))
+        out = tmp_path / "char"
+        assert main(["characterize", "--target", "linear", "--shape", "4",
+                     "--seed", "3", "--config", str(config),
+                     "--out", str(out)]) == 1
+        assert "outside (0, pi]" in error_payload(capsys)["message"]
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys, micro_config):
         args = ["characterize", "--target", "linear", "--shape", "4",
@@ -265,6 +291,30 @@ class TestBench:
         assert lines[0].endswith(",".join(MeasureReport.FIELDS))
         assert len(lines) == 3
         assert (store / "run.json").exists()
+        summary = json.loads((store / "summary.json").read_text())
+        assert summary["all_r2"] is None and "correlations" not in summary
+        assert summary["n_networks"] == 2
+        assert not (store / "correlation.csv").exists()
+
+    def test_report_reproduces_study_table(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, study_blob(n_networks=10))
+        store = tmp_path / "store"
+        assert main(["bench", "--config", config, "--out", str(store),
+                     "--seed", "6", "--workers", "1"]) == 0
+        out = tmp_path / "rep"
+        assert main(["report", "--store", str(store), "--seed", "6",
+                     "--out", str(out)]) == 0
+        for name in ("correlation.csv", "summary.json"):
+            assert (out / name).read_bytes() == (store / name).read_bytes(), name
+
+    def test_bad_cone_angle_in_study_config(self, tmp_path, capsys):
+        blob = study_blob()
+        blob["search"] = dict(MICRO_SEARCH, deltas=[0.5, 4.0])
+        store = tmp_path / "store"
+        assert main(["bench", "--config", self.write_config(tmp_path, blob),
+                     "--out", str(store)]) == 1
+        assert "outside (0, pi]" in error_payload(capsys)["message"]
+        assert not store.exists()
 
     def test_malformed_config_writes_nothing(self, tmp_path, capsys):
         config = tmp_path / "study.json"
@@ -375,12 +425,18 @@ class TestReport:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["all_r2"] == float(all_row[2])
 
-    @pytest.mark.parametrize("name", ["summary.json", "correlation.csv"])
-    def test_interrupted_write_keeps_previous_file(self, tmp_path, capsys, monkeypatch, name):
-        store = self.fabricate_store(tmp_path)
-        argv = ["report", "--store", str(store), "--seed", "1", "--permutations", "50"]
+    @pytest.mark.parametrize("name", ["summary.json", "correlation.csv", "report.json"])
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, capsys, monkeypatch,
+                                                    micro_config, name):
+        if name == "report.json":
+            out = tmp_path / "char"
+            argv = ["characterize", "--target", "linear", "--shape", "4", "--seed", "3",
+                    "--config", micro_config, "--walks", "2", "--out", str(out)]
+        else:
+            out = self.fabricate_store(tmp_path)
+            argv = ["report", "--store", str(out), "--seed", "1", "--permutations", "50"]
         assert main(argv) == 0
-        previous = (store / name).read_bytes()
+        previous = (out / name).read_bytes()
 
         def truncated(fh):
             fh.write("measure,spe")
@@ -390,13 +446,20 @@ class TestReport:
             with open(path, "w", encoding="ascii") as fh:
                 truncated(fh)
 
-        if name == "summary.json":
-            monkeypatch.setattr(json, "dump", lambda blob, fh, **kw: truncated(fh))
+        if name == "correlation.csv":
+            monkeypatch.setattr("tunescope.bench.write_correlation_csv", truncated_csv)
         else:
-            monkeypatch.setattr("tunescope.cli.write_correlation_csv", truncated_csv)
+            dump = json.dump
+
+            def dump_failing_on_name(blob, fh, **kw):
+                if name in Path(fh.name).name:
+                    truncated(fh)
+                dump(blob, fh, **kw)
+
+            monkeypatch.setattr(json, "dump", dump_failing_on_name)
         assert main(argv) == 2
-        assert (store / name).read_bytes() == previous
-        assert not list(store.glob(".*.tmp"))
+        assert (out / name).read_bytes() == previous
+        assert not list(out.glob(".*.tmp"))
 
     def test_missing_store_is_config_error(self, tmp_path, capsys):
         assert main(["report", "--store", str(tmp_path / "absent")]) == 1

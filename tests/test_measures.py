@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tunescope.bench import _write_json
 from tunescope.errors import NonPositiveOptimumError, ZeroVarianceError
 from tunescope.measures import (
     FitnessDistanceDiagram,
@@ -20,7 +21,6 @@ from tunescope.measures import (
     subspace_alignment,
     subspace_capacity,
     write_fd_csv,
-    write_report_json,
 )
 from tunescope.search import PathResult, ReconstructionSet, SubspaceSample
 from tunescope.stimulus import Stimulus, StimulusSet
@@ -519,7 +519,7 @@ class TestMeasureReport:
             ossc=0.5, osep=0.9, provenance={"seed": 3, "target": "demo"}
         )
         out = tmp_path / "report.json"
-        write_report_json(report, out)
+        _write_json(out, report_to_json(report))
         with open(out) as fh:
             blob = json.load(fh)
         assert blob == report_to_json(report)

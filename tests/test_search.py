@@ -52,6 +52,20 @@ def make_rotational(seed=1, n=16):
     return quadratic_neuron(q, np.zeros(n), 0.0, (side, side)), g1, g2
 
 
+class TestConfig:
+    @pytest.mark.parametrize("bad", [{"deltas": (4.0,)}, {"deltas": (0.0,)},
+                                     {"deltas": (0.3, -0.1)}, {"subspace_delta": 0.0},
+                                     {"subspace_delta": 3.5}])
+    def test_cone_angle_outside_range_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"outside \(0, pi\]"):
+            SearchConfig(**bad)
+        with pytest.raises(ValueError, match=r"outside \(0, pi\]"):
+            FAST.scaled(**bad)
+
+    def test_cone_angle_of_pi_accepted(self):
+        assert SearchConfig(deltas=(np.pi,), subspace_delta=np.pi).deltas == (np.pi,)
+
+
 class TestObjectives:
     def test_sphere_objective_projects_to_energy(self):
         target, _ = make_linear()

@@ -15,8 +15,6 @@ from tunescope.solver import (
     minimize,
     seeded_init,
     sphere_objective,
-    trace_to_json,
-    write_trace_csv,
 )
 from tunescope.stimulus import project_sphere, sample_pink_noise
 
@@ -143,21 +141,6 @@ class TestBudgetAndTrace:
         np.testing.assert_array_equal(best_a.values, best_b.values)
         assert trace_a.best_fitness_history == trace_b.best_fitness_history
         assert trace_a.termination_reason == trace_b.termination_reason
-
-    def test_trace_serialization(self, tmp_path):
-        n = 4
-        objective = linear_objective(np.ones(n), (2, 2))
-        x0 = start_point(n, (2, 2), seed=23)
-        _, trace = maximize(objective, x0, SolverConfig(max_evaluations=200, seed=24))
-        csv_path = tmp_path / "trace.csv"
-        write_trace_csv(trace, csv_path)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "evaluations,best_fitness"
-        assert len(lines) == 1 + len(trace.best_fitness_history)
-        blob = trace_to_json(trace)
-        assert blob["termination_reason"] in {"budget", "step_tolerance", "stagnation"}
-        assert blob["evaluations_used"] == trace.evaluations_used
-        assert blob["best_point_history"][0]["evaluations"] == trace.best_fitness_history[0][0]
 
 
 class TestSeededInit:

@@ -17,6 +17,7 @@ from tunescope.stimulus import (
     angular_distance,
     average_energy,
     project_cone,
+    project_cone_batch,
     project_sphere,
     random_orthogonal_unit,
     read_stimulus_csv,
@@ -89,6 +90,18 @@ class TestProjectCone:
         x_hat = unit_stimulus([1, 0, 0, 0], 2, 2)
         with pytest.raises(DegenerateDirectionError):
             project_cone(x_hat, x_hat, 0.2)
+        raw = np.array([[0.0, 1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(DegenerateDirectionError):
+            project_cone_batch(raw, x_hat, 0.2)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, 4.0])
+    def test_angle_outside_range_rejected(self, delta):
+        x_hat = unit_stimulus([1, 0, 0, 0], 2, 2)
+        x = unit_stimulus([0, 1, 0, 0], 2, 2)
+        with pytest.raises(ValueError):
+            project_cone(x, x_hat, delta)
+        with pytest.raises(ValueError):
+            project_cone_batch(x.values[None, :], x_hat, delta, np.random.default_rng(0))
 
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -372,6 +372,25 @@ class TestSerialization:
         spec = default_l2_spec(weight_seed=25)
         assert spec_from_json(spec_to_json(spec)) == spec
 
+    def test_spec_json_unknown_key_rejected(self):
+        blob = spec_to_json(default_l1_spec())
+        blob["levels"][0]["pool_exponnt"] = 2.0
+        with pytest.raises(TypeError, match="pool_exponnt"):
+            spec_from_json(blob)
+        blob = spec_to_json(default_l1_spec())
+        blob["weight_sed"] = 1
+        with pytest.raises(TypeError, match="weight_sed"):
+            spec_from_json(blob)
+
+    def test_spec_json_omitted_keys_take_defaults(self):
+        spec = default_l1_spec(weight_seed=4)
+        level = spec.levels[0]
+        blob = {"levels": [{"kernel_size": level.kernel_size, "n_filters": level.n_filters}],
+                "top_layer_neurons": spec.top_layer_neurons, "weight_seed": 4}
+        rebuilt = spec_from_json(blob)
+        assert rebuilt.levels[0] == LevelSpec(level.kernel_size, level.n_filters)
+        assert rebuilt.declared_input is None
+
     def test_weights_round_trip(self, tmp_path):
         target = sthor_network(default_l2_spec(weight_seed=26))
         path = tmp_path / "weights.bin"
