@@ -749,13 +749,26 @@ def run_study(
 
 
 def collect_reports(store_dir) -> tuple[tuple[float, ...], tuple[MeasureReport, ...]]:
-    """Re-read every persisted network report from an artifact store."""
+    """Re-read every persisted network report from an artifact store.
+
+    Unlike ``--resume``, which recomputes such a network, a
+    ``network_*`` directory whose ``report.json`` is missing or
+    unreadable is an error here: a table over the remaining networks
+    would silently describe a different study.
+    """
     store = Path(store_dir)
     loaded = []
+    unreadable = []
     for net_dir in sorted(store.glob("network_*")):
         entry = _load_network(net_dir)
-        if entry is not None:
+        if entry is None:
+            unreadable.append(net_dir.name)
+        else:
             loaded.append(entry)
+    if unreadable:
+        raise ValueError(
+            f"missing or unreadable report.json under {store}: {', '.join(unreadable)}"
+        )
     if not loaded:
         raise FileNotFoundError(f"no network reports under {store}")
     performances = tuple(entry[0] for entry in loaded)

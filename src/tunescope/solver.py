@@ -329,19 +329,14 @@ def seeded_init(
 
     Candidates cycle through the spectral exponents in ``alpha_set``.
     The evaluations are not drawn from any solver budget; the count is
-    returned so callers can report it separately.  Evaluation is chunked
-    so conv-style objectives never see an oversized batch.
+    returned so callers can report it separately.
     """
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
-    candidates = np.empty((n_candidates, objective.height * objective.width))
-    for i in range(n_candidates):
-        alpha = alpha_set[i % len(alpha_set)]
-        stim = sample_pink_noise(objective.height, objective.width, alpha, objective.energy, rng)
-        candidates[i] = stim.values
-    fitness = np.empty(n_candidates)
-    for start in range(0, n_candidates, 64):
-        fitness[start : start + 64] = objective.evaluate_batch(candidates[start : start + 64])
+    candidates = sample_pink_noise(
+        objective.height, objective.width, alpha_set, objective.energy, rng, count=n_candidates
+    )
+    fitness = objective.evaluate_batch(candidates)
     if not np.all(np.isfinite(fitness)):
         raise NonFiniteObjectiveError("objective returned a non-finite value during seeding")
     best = int(np.argmax(fitness))

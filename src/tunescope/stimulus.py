@@ -9,6 +9,7 @@ the constraint always holds exactly at the point of evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -215,23 +216,41 @@ def _radial_frequency(height: int, width: int) -> np.ndarray:
 def sample_pink_noise(
     height: int,
     width: int,
-    alpha: float,
+    alpha: float | Sequence[float],
     energy: float,
     rng: np.random.Generator,
-) -> Stimulus:
+    *,
+    count: int | None = None,
+) -> Stimulus | np.ndarray:
     """Random stimulus with Fourier amplitude envelope ``f ** (-alpha)``.
 
     ``alpha = 0`` gives white noise.  The DC bin is always zeroed so the
     pattern is mean-free, then the result is projected to ``energy``.
+
+    With ``count``, one call returns ``count`` stimuli as the rows of a
+    (count, height * width) array, and ``alpha`` may be a sequence of
+    exponents: row ``i`` takes ``alpha[i % len(alpha)]``.  The rows, and
+    the state ``rng`` is left in, are those of ``count`` successive
+    single draws.
     """
-    noise = rng.standard_normal((height, width))
-    spectrum = np.fft.fft2(noise)
+    alphas = tuple(alpha) if np.ndim(alpha) else (alpha,)
+    n = 1 if count is None else count
+    if n < 1 or not alphas:
+        raise ValueError("need at least one stimulus and one exponent")
+    spectrum = np.fft.fft2(rng.standard_normal((n, height, width)))
     freq = _radial_frequency(height, width)
-    envelope = np.zeros_like(freq)
     nonzero = freq > 0
-    envelope[nonzero] = freq[nonzero] ** (-alpha)
-    shaped = np.fft.ifft2(spectrum * envelope).real
-    return project_sphere(shaped, energy)
+    for k, a in enumerate(alphas):
+        envelope = np.zeros_like(freq)
+        envelope[nonzero] = freq[nonzero] ** (-a)
+        spectrum[k :: len(alphas)] *= envelope
+    shaped = np.fft.ifft2(spectrum).real
+    rows = np.empty((n, height * width))
+    for row, pattern in zip(rows, shaped):
+        row[:] = project_sphere(pattern, energy).values
+    if count is None:
+        return Stimulus(values=rows[0], height=height, width=width, energy=energy)
+    return rows
 
 
 def random_orthogonal_unit(x_hat: Stimulus, rng: np.random.Generator) -> Stimulus:

@@ -196,10 +196,11 @@ def _receptive_field(levels: tuple[LevelSpec, ...]) -> int:
     return rf
 
 
-def _check_geometry(spec: SthorSpec) -> int:
-    """Validate the cascade and return the input side length."""
+def _check_geometry(spec: SthorSpec) -> tuple[int, list[int]]:
+    """Validate the cascade; return the input side and each level's output side."""
     side = spec.input_shape[0]
     size = side
+    level_sides = []
     for i, level in enumerate(spec.levels):
         size = size - level.kernel_size + 1
         if size < 1:
@@ -210,9 +211,10 @@ def _check_geometry(spec: SthorSpec) -> int:
                 f"does not tile a {size}-wide map"
             )
         size = (size - level.pool_size) // level.pool_stride + 1
+        level_sides.append(size)
     if size != 1:
         raise GeometryError(f"cascade leaves a {size}x{size} map, expected 1x1")
-    return side
+    return side, level_sides
 
 
 def _draw_kernels(spec: SthorSpec) -> list[np.ndarray]:
@@ -266,37 +268,52 @@ def _pool_power_mean(x: np.ndarray, size: int, stride: int, p: float) -> np.ndar
     return np.maximum(mean, 0.0) ** (1.0 / p)
 
 
-def _box_sum(plane: np.ndarray, radius: int) -> np.ndarray:
-    """Border-clipped box sums over the trailing two axes."""
-    padded = np.cumsum(np.cumsum(plane, axis=-2), axis=-1)
-    padded = np.pad(padded, [(0, 0)] * (plane.ndim - 2) + [(1, 0), (1, 0)])
-    h, w = plane.shape[-2:]
-    rows = np.arange(h)
-    cols = np.arange(w)
-    top = np.clip(rows - radius, 0, h)
-    bottom = np.clip(rows + radius + 1, 0, h)
-    left = np.clip(cols - radius, 0, w)
-    right = np.clip(cols + radius + 1, 0, w)
-    return (
-        padded[..., bottom[:, None], right[None, :]]
-        - padded[..., top[:, None], right[None, :]]
-        - padded[..., bottom[:, None], left[None, :]]
-        + padded[..., top[:, None], left[None, :]]
-    )
+def _norm_geometry(side: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Box-window corners and sizes for normalizing a ``side``-wide map.
+
+    Windows reach ``radius`` cells each way, clipped at the border.
+    Returns a (4, side * side) array of flat indices into the map's
+    zero-bordered 2-D cumulative sum, one row per window corner in the
+    order (bottom, right), (top, right), (bottom, left), (top, left),
+    and the window cell counts, flattened the same way.
+    """
+    cells = np.arange(side)
+    low = np.clip(cells - radius, 0, side)
+    high = np.clip(cells + radius + 1, 0, side)
+    row_stride = side + 1
+    corners = np.stack(
+        [
+            high[:, None] * row_stride + high[None, :],
+            low[:, None] * row_stride + high[None, :],
+            high[:, None] * row_stride + low[None, :],
+            low[:, None] * row_stride + low[None, :],
+        ]
+    ).reshape(4, -1)
+    span = high - low
+    counts = (span[:, None] * span[None, :]).ravel()
+    corners.setflags(write=False)
+    counts.setflags(write=False)
+    return corners, counts
 
 
-def _divisive_normalize(x: np.ndarray, radius: int, strength: float, threshold: float) -> np.ndarray:
-    """Divide by local RMS activity pooled across channels and a spatial box."""
-    h, w = x.shape[2], x.shape[3]
+def _divisive_normalize(
+    x: np.ndarray, geometry: tuple[np.ndarray, np.ndarray], strength: float, threshold: float
+) -> np.ndarray:
+    """Divide by local RMS activity pooled across channels and a spatial box.
+
+    ``geometry`` is ``_norm_geometry`` of the map side and radius.
+    """
+    corners, counts = geometry
+    b, _, h, w = x.shape
     mean_square = np.mean(x * x, axis=1)
-    sums = _box_sum(mean_square, radius)
-    rows = np.arange(h)
-    cols = np.arange(w)
-    span_h = np.clip(rows + radius + 1, 0, h) - np.clip(rows - radius, 0, h)
-    span_w = np.clip(cols + radius + 1, 0, w) - np.clip(cols - radius, 0, w)
-    counts = span_h[:, None] * span_w[None, :]
-    local_rms = np.sqrt(sums / counts)
-    return x / (threshold + strength * local_rms[:, None, :, :])
+    padded = np.zeros((b, h + 1, w + 1))
+    inner = padded[:, 1:, 1:]
+    np.cumsum(mean_square, axis=1, out=inner)
+    np.cumsum(inner, axis=2, out=inner)
+    flat = padded.reshape(b, -1)
+    sums = flat[:, corners[0]] - flat[:, corners[1]] - flat[:, corners[2]] + flat[:, corners[3]]
+    local_rms = np.sqrt(sums / counts).reshape(b, 1, h, w)
+    return x / (threshold + strength * local_rms)
 
 
 def _apply_activation(x: np.ndarray, level: LevelSpec) -> np.ndarray:
@@ -314,7 +331,7 @@ def sthor_network(spec: SthorSpec, kernels: list[np.ndarray] | None = None) -> T
     Random kernels are zero-mean and unit-norm per filter; explicit
     kernels are used as given (tests rely on delta kernels).
     """
-    side = _check_geometry(spec)
+    side, level_sides = _check_geometry(spec)
     if kernels is None:
         kernels = _draw_kernels(spec)
     else:
@@ -326,17 +343,21 @@ def sthor_network(spec: SthorSpec, kernels: list[np.ndarray] | None = None) -> T
                 raise GeometryError(f"kernel shape {w.shape} != {expected}")
             n_in = level.n_filters
     w_mats = [w.reshape(w.shape[0], -1).copy() for w in kernels]
+    norm_geometries = [
+        _norm_geometry(level_side, level.norm_radius) if level.norm_enabled else None
+        for level, level_side in zip(spec.levels, level_sides)
+    ]
     for w in w_mats:
         w.setflags(write=False)
 
     def forward_chunk(matrix: np.ndarray) -> np.ndarray:
         x = matrix.reshape(-1, 1, side, side)
-        for level, w_mat in zip(spec.levels, w_mats):
+        for level, w_mat, geometry in zip(spec.levels, w_mats, norm_geometries):
             x = _conv_valid(x, w_mat, level.kernel_size)
             x = _apply_activation(x, level)
             x = _pool_power_mean(x, level.pool_size, level.pool_stride, level.pool_exponent)
-            if level.norm_enabled:
-                x = _divisive_normalize(x, level.norm_radius, level.norm_strength, level.norm_threshold)
+            if geometry is not None:
+                x = _divisive_normalize(x, geometry, level.norm_strength, level.norm_threshold)
         center_h = x.shape[2] // 2
         center_w = x.shape[3] // 2
         return x[:, :, center_h, center_w]

@@ -461,5 +461,22 @@ class TestReport:
         assert (out / name).read_bytes() == previous
         assert not list(out.glob(".*.tmp"))
 
+    @pytest.mark.parametrize("damage", ["truncate", "delete"])
+    def test_damaged_network_report_fails(self, tmp_path, capsys, damage):
+        store = self.fabricate_store(tmp_path, n=10)
+        assert main(["report", "--store", str(store), "--permutations", "50"]) == 0
+        previous = (store / "summary.json").read_bytes()
+        damaged = store / "network_003" / "report.json"
+        if damage == "truncate":
+            damaged.write_bytes(damaged.read_bytes()[:40])
+        else:
+            damaged.unlink()
+        capsys.readouterr()
+        assert main(["report", "--store", str(store), "--permutations", "50"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert "network_003" in error["message"]
+        assert "network_002" not in error["message"]
+        assert (store / "summary.json").read_bytes() == previous
+
     def test_missing_store_is_config_error(self, tmp_path, capsys):
         assert main(["report", "--store", str(tmp_path / "absent")]) == 1

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tunescope.errors import (
@@ -174,6 +174,51 @@ class TestPinkNoise:
         a = sample_pink_noise(8, 8, alpha, 1.0, np.random.default_rng(seed))
         b = sample_pink_noise(8, 8, alpha, 1.0, np.random.default_rng(seed))
         np.testing.assert_array_equal(a.values, b.values)
+
+
+def reference_pink_noise(height, width, alpha, energy, rng):
+    """One stimulus per call: noise, envelope and projection built each time."""
+    spectrum = np.fft.fft2(rng.standard_normal((height, width)))
+    freq = np.hypot(np.fft.fftfreq(height)[:, None], np.fft.fftfreq(width)[None, :])
+    envelope = np.zeros_like(freq)
+    nonzero = freq > 0
+    envelope[nonzero] = freq[nonzero] ** (-alpha)
+    shaped = np.fft.ifft2(spectrum * envelope).real
+    return shaped.ravel() * (energy / np.linalg.norm(shaped.ravel()))
+
+
+class TestPinkNoiseBatch:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(2, 2), (3, 5), (1, 7), (8, 8), (11, 11), (21, 21)]),
+        alphas=st.sampled_from([(0.0,), (-4.0, -3.0, -2.0, -1.0, 0.0), (-2, 1.5), (-1.0, 0.0, 2.0)]),
+        count=st.integers(1, 13),
+    )
+    @example(seed=3, shape=(8, 8), alphas=(-1.0, 0.0, 2.0), count=7)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_and_generator_state_match_successive_draws(self, seed, shape, alphas, count):
+        batch_rng = np.random.default_rng(seed)
+        batch = sample_pink_noise(*shape, alphas, 2.5, batch_rng, count=count)
+        single_rng = np.random.default_rng(seed)
+        singles = [
+            sample_pink_noise(*shape, alphas[i % len(alphas)], 2.5, single_rng)
+            for i in range(count)
+        ]
+        reference_rng = np.random.default_rng(seed)
+        reference = [
+            reference_pink_noise(*shape, alphas[i % len(alphas)], 2.5, reference_rng)
+            for i in range(count)
+        ]
+        assert batch.shape == (count, shape[0] * shape[1])
+        for row, single, expected in zip(batch, singles, reference):
+            assert row.tobytes() == single.values.tobytes() == expected.tobytes()
+        assert batch_rng.bit_generator.state == single_rng.bit_generator.state
+        assert batch_rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("count, alphas", [(0, (0.0,)), (3, ())])
+    def test_empty_request_rejected(self, count, alphas):
+        with pytest.raises(ValueError):
+            sample_pink_noise(4, 4, alphas, 1.0, np.random.default_rng(0), count=count)
 
 
 class TestRandomOrthogonalUnit:

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tunescope import targets as targets_module
 from tunescope.errors import GeometryError
 from tunescope.stimulus import Stimulus, project_cone, project_sphere
 from tunescope.targets import (
@@ -263,6 +266,95 @@ class TestSthorNetwork:
         for row in (0, 63, 64, 129):
             stim = Stimulus.from_values(matrix[row], 11, 11)
             np.testing.assert_allclose(batched[row], target.evaluate(stim), atol=1e-12)
+
+
+def reference_box_sum(plane, radius):
+    """Border-clipped box sums, with every index built per call."""
+    padded = np.cumsum(np.cumsum(plane, axis=-2), axis=-1)
+    padded = np.pad(padded, [(0, 0)] * (plane.ndim - 2) + [(1, 0), (1, 0)])
+    h, w = plane.shape[-2:]
+    rows = np.arange(h)
+    cols = np.arange(w)
+    top = np.clip(rows - radius, 0, h)
+    bottom = np.clip(rows + radius + 1, 0, h)
+    left = np.clip(cols - radius, 0, w)
+    right = np.clip(cols + radius + 1, 0, w)
+    return (
+        padded[..., bottom[:, None], right[None, :]]
+        - padded[..., top[:, None], right[None, :]]
+        - padded[..., bottom[:, None], left[None, :]]
+        + padded[..., top[:, None], left[None, :]]
+    )
+
+
+def reference_divisive_normalize(x, radius, strength, threshold):
+    h, w = x.shape[2], x.shape[3]
+    mean_square = np.mean(x * x, axis=1)
+    sums = reference_box_sum(mean_square, radius)
+    rows = np.arange(h)
+    cols = np.arange(w)
+    span_h = np.clip(rows + radius + 1, 0, h) - np.clip(rows - radius, 0, h)
+    span_w = np.clip(cols + radius + 1, 0, w) - np.clip(cols - radius, 0, w)
+    counts = span_h[:, None] * span_w[None, :]
+    local_rms = np.sqrt(sums / counts)
+    return x / (threshold + strength * local_rms[:, None, :, :])
+
+
+def reference_batch(spec, kernels, matrix):
+    """The cascade with normalization geometry derived on every call."""
+    side = spec.input_shape[0]
+    parts = []
+    for start in range(0, matrix.shape[0], targets_module._BATCH_CHUNK):
+        x = matrix[start : start + targets_module._BATCH_CHUNK].reshape(-1, 1, side, side)
+        for level, w in zip(spec.levels, kernels):
+            x = targets_module._conv_valid(x, w.reshape(w.shape[0], -1), level.kernel_size)
+            x = targets_module._apply_activation(x, level)
+            x = targets_module._pool_power_mean(
+                x, level.pool_size, level.pool_stride, level.pool_exponent
+            )
+            if level.norm_enabled:
+                x = reference_divisive_normalize(
+                    x, level.norm_radius, level.norm_strength, level.norm_threshold
+                )
+        parts.append(x[:, :, x.shape[2] // 2, x.shape[3] // 2])
+    return np.concatenate(parts, axis=0)
+
+
+RANGES = HyperRanges()
+
+
+@st.composite
+def cascade_specs(draw):
+    base = draw(st.sampled_from([default_l1_spec(), default_l2_spec()]))
+    levels = []
+    for index, level in enumerate(base.levels):
+        is_top = index == len(base.levels) - 1
+        levels.append(
+            replace(
+                level,
+                n_filters=level.n_filters if is_top else draw(st.sampled_from(RANGES.n_filters)),
+                pool_exponent=draw(st.sampled_from(RANGES.pool_exponent)),
+                norm_strength=draw(st.sampled_from(RANGES.norm_strength)),
+                norm_radius=draw(st.integers(0, 3)),
+                norm_enabled=draw(st.booleans()),
+                activation=draw(st.sampled_from(["halfwave", "clipped", "identity"])),
+            )
+        )
+    return replace(base, levels=tuple(levels), weight_seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestForwardOracle:
+    @given(
+        spec=cascade_specs(),
+        rows=st.sampled_from([1, 18, 22, 64, 65, 130]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_bitwise_equals_per_call_geometry(self, spec, rows, seed):
+        target = sthor_network(spec)
+        matrix = np.random.default_rng(seed).standard_normal((rows, target.size))
+        expected = reference_batch(spec, target.meta["kernels"], matrix)
+        assert target.batch(matrix).tobytes() == expected.tobytes()
 
 
 class TestUnitView:
