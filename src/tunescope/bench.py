@@ -36,9 +36,13 @@ from .measures import (
 )
 from .search import (
     SearchConfig,
+    cone_searches,
     invariance_path,
+    optimal_plan,
     optimal_stimulus,
-    reconstruct,
+    reconstruct,  # unused here; perfbench/tracing.py wraps each procedure by its name here
+    reconstruct_plan,
+    run_plans,
     selectivity_path,
     subspace_sample,
 )
@@ -342,6 +346,11 @@ def characterize_population(
     The landscape is the match fitness to the reference with the largest
     response magnitude.  Unit optimal stimuli enter only through the
     explanation-power average.
+
+    Every search reads ``target``, so independent searches run in
+    lockstep: the population optimum, the unit optima and the
+    reconstructions together, then at each cone angle the two path
+    steps, joined at the first angle by the subspace runs.
     """
     if task.shape != target.input_shape or references.shape != target.input_shape:
         raise ValueError("task/reference shapes must match the target input")
@@ -349,40 +358,35 @@ def characterize_population(
     reference_responses = target.batch(references.matrix())
     best_ref = int(np.argmax(np.linalg.norm(reference_responses, axis=1)))
     matcher = match_fitness(target, reference_responses[best_ref])
-
     pop_config = config.scaled(seed=derive_int(config.seed, "population"))
-    optimal = optimal_stimulus(matcher, pop_config)
-    x_hat = optimal.x_hat
 
     unit_rng = derive_rng(config.seed, "bench", "units")
     n_units = min(unit_sample, target.response_dim)
     unit_indices = sorted(
         int(i) for i in unit_rng.choice(target.response_dim, size=n_units, replace=False)
     )
-    unit_hats = []
-    for index in unit_indices:
-        unit_config = config.scaled(seed=derive_int(config.seed, "unit", index))
-        unit_hats.append(optimal_stimulus(unit_view(target, index), unit_config).x_hat)
-    osep = float(np.mean([explanation_power(h, task) for h in unit_hats]))
-
-    paths = [
-        invariance_path(matcher, x_hat, pop_config),
-        selectivity_path(matcher, x_hat, pop_config),
+    plans = [optimal_plan(matcher, pop_config)]
+    plans += [
+        optimal_plan(unit_view(target, index), config.scaled(seed=derive_int(config.seed, "unit", index)))
+        for index in unit_indices
     ]
-    samples = {
-        kind: subspace_sample(matcher, x_hat, pop_config, kind=kind)
-        for kind in ("invariance", "selectivity")
-    }
+    plans += [
+        reconstruct_plan(
+            target, references[index], config.scaled(seed=derive_int(config.seed, "encode", index))
+        )
+        for index in range(len(references))
+    ]
+    optimal, *rest = run_plans(plans)
+    x_hat = optimal.x_hat
+    unit_hats = [result.x_hat for result in rest[:n_units]]
+    recon_sets = rest[n_units:]
+    osep = float(np.mean([explanation_power(h, task) for h in unit_hats]))
+    scores = [encoding_specificity(recon) for recon in recon_sets]
+
+    both = ("invariance", "selectivity")
+    paths, samples = cone_searches(matcher, x_hat, pop_config, both, both)
     itsa_raw, itsa = subspace_alignment(samples["invariance"], task)
     stsa_raw, stsa = subspace_alignment(samples["selectivity"], task)
-
-    recon_sets = []
-    scores = []
-    for index in range(len(references)):
-        recon_config = config.scaled(seed=derive_int(config.seed, "encode", index))
-        recon = reconstruct(target, references[index], recon_config)
-        recon_sets.append(recon)
-        scores.append(encoding_specificity(recon))
 
     report = MeasureReport(
         ossc=spectral_complexity(x_hat),

@@ -12,21 +12,25 @@ characterization is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from .seeds import derive_rng, derive_seed
 from .solver import (
     ProjectedObjective,
+    Search,
     SearchTrace,
     SolverConfig,
+    lockstep_groups,
     maximize,
     minimize,
+    run_lockstep,
     seeded_init,
     sphere_objective,
 )
 from .stimulus import Stimulus, angular_distance, project_cone_batch, random_orthogonal_unit
-from .targets import TargetHandle
+from .targets import TargetHandle, match_fitness
 
 __all__ = [
     "SearchConfig",
@@ -34,7 +38,12 @@ __all__ = [
     "PathResult",
     "SubspaceSample",
     "ReconstructionSet",
+    "SearchPlan",
+    "optimal_plan",
+    "reconstruct_plan",
+    "run_plans",
     "optimal_stimulus",
+    "cone_searches",
     "invariance_path",
     "selectivity_path",
     "subspace_sample",
@@ -127,9 +136,19 @@ class ReconstructionSet:
 # projection-composed objectives
 
 
+def _shared_forward(target: TargetHandle) -> dict:
+    """The objective fields through which searches on wrappers of one
+    network share its forward calls; none for a target that wraps none."""
+    if target.network is None:
+        return {}
+    readout = target.readout
+    return {"network": target.network, "readout": lambda responses: readout(responses)[:, 0]}
+
+
 def sphere_search_objective(target: TargetHandle, energy: float) -> ProjectedObjective:
     """Scalar target constrained to the energy sphere."""
-    return sphere_objective(target.scalar_batch, (target.height, target.width), energy)
+    objective = sphere_objective(target.scalar_batch, (target.height, target.width), energy)
+    return replace(objective, **_shared_forward(target))
 
 
 def cone_search_objective(
@@ -149,6 +168,7 @@ def cone_search_objective(
         energy=x_hat.energy,
         project_batch=lambda raw: project_cone_batch(raw, x_hat, delta, fallback_rng),
         fitness_batch=target.scalar_batch,
+        **_shared_forward(target),
     )
 
 
@@ -176,100 +196,206 @@ def _solver_config(config: SearchConfig, budget: int, sigma0: float, seed) -> So
     )
 
 
-def optimal_stimulus(target: TargetHandle, config: SearchConfig) -> OptimalStimulusResult:
-    """Best of ``optimal_runs`` independent seeded searches."""
+@dataclass(frozen=True)
+class SearchPlan:
+    """A procedure's independent searches, and ``finish``, which makes
+    the procedure's result from their (point, trace) outcomes in order."""
+
+    searches: tuple[Search, ...]
+    finish: Callable[[list[tuple[Stimulus, SearchTrace]]], object]
+
+
+def _run_searches(searches: list[Search]) -> list[tuple[Stimulus, SearchTrace]]:
+    """Run independent searches; those that read one network go in
+    lockstep groups, and a lone search goes through ``maximize`` or
+    ``minimize``."""
+    outcomes = []
+    for group in lockstep_groups(searches):
+        if len(group) > 1:
+            outcomes += run_lockstep(group)
+        else:
+            (search,) = group
+            optimizer = maximize if search.sign > 0 else minimize
+            outcomes.append(optimizer(search.objective, search.x0, search.config))
+    return outcomes
+
+
+def run_plans(plans: list[SearchPlan]) -> list:
+    """Run the searches of several plans together; return each plan's result."""
+    outcomes = _run_searches([search for plan in plans for search in plan.searches])
+    results = []
+    for plan in plans:
+        count = len(plan.searches)
+        results.append(plan.finish(outcomes[:count]))
+        outcomes = outcomes[count:]
+    return results
+
+
+def optimal_plan(target: TargetHandle, config: SearchConfig) -> SearchPlan:
+    """Plan of ``optimal_stimulus``: its seedings run here, its searches
+    when the plan runs."""
     if target.response_dim != 1:
         raise ValueError("optimal stimulus search needs a scalar target")
     objective = sphere_search_objective(target, config.energy)
-    n = target.size
-    budget = config.optimal_budget_per_dim * n
-
-    best = None
-    records = []
+    budget = config.optimal_budget_per_dim * target.size
+    searches = []
+    seedings = []
     for run in range(config.optimal_runs):
         init_rng = derive_rng(config.seed, "optimal", run, "init")
         x0, init_fitness, init_evals = seeded_init(
             objective, config.seed_candidates, config.alpha_set, init_rng
         )
+        seedings.append((init_fitness, init_evals))
         solver_config = _solver_config(
             config, budget, config.optimal_sigma0, derive_seed(config.seed, "optimal", run, "solver")
         )
-        point, trace = maximize(objective, x0, solver_config)
-        records.append(
-            {
-                "run": run,
-                "init_fitness": init_fitness,
-                "init_evaluations": init_evals,
-                "fitness": trace.best_fitness,
-                "evaluations": trace.evaluations_used,
-                "termination": trace.termination_reason.value,
-            }
+        searches.append(Search(objective, x0, solver_config))
+
+    def finish(outcomes) -> OptimalStimulusResult:
+        best = None
+        records = []
+        for run, ((init_fitness, init_evals), (point, trace)) in enumerate(zip(seedings, outcomes)):
+            records.append(
+                {
+                    "run": run,
+                    "init_fitness": init_fitness,
+                    "init_evaluations": init_evals,
+                    "fitness": trace.best_fitness,
+                    "evaluations": trace.evaluations_used,
+                    "termination": trace.termination_reason.value,
+                }
+            )
+            if best is None or trace.best_fitness > best[1]:
+                best = (point, trace.best_fitness, trace)
+        point, fitness, trace = best
+        init_source = {
+            "seed_candidates": config.seed_candidates,
+            "alpha_set": list(config.alpha_set),
+            "runs": config.optimal_runs,
+        }
+        return OptimalStimulusResult(
+            x_hat=point,
+            fitness=float(fitness),
+            trace=trace,
+            init_source=init_source,
+            run_records=tuple(records),
         )
-        if best is None or trace.best_fitness > best[1]:
-            best = (point, trace.best_fitness, trace)
 
-    point, fitness, trace = best
-    init_source = {
-        "seed_candidates": config.seed_candidates,
-        "alpha_set": list(config.alpha_set),
-        "runs": config.optimal_runs,
-    }
-    return OptimalStimulusResult(
-        x_hat=point,
-        fitness=float(fitness),
-        trace=trace,
-        init_source=init_source,
-        run_records=tuple(records),
-    )
+    return SearchPlan(tuple(searches), finish)
 
 
-def _path(
+def optimal_stimulus(target: TargetHandle, config: SearchConfig) -> OptimalStimulusResult:
+    """Best of ``optimal_runs`` independent seeded searches."""
+    return run_plans([optimal_plan(target, config)])[0]
+
+
+_SIGNS = {"invariance": 1.0, "selectivity": -1.0}
+
+
+def _cone_search(
     target: TargetHandle,
     x_hat: Stimulus,
     config: SearchConfig,
+    delta: float,
+    start: Stimulus | None,
     kind: str,
-    run_index: int = 0,
-) -> PathResult:
-    optimizer = maximize if kind == "invariance" else minimize
-    n = target.size
-    budget = config.path_budget_per_dim * n
-    points = []
-    fitnesses = []
-    current = x_hat
-    for k, delta in enumerate(sorted(config.deltas)):
-        fallback = derive_rng(config.seed, "path", kind, run_index, k, "degenerate")
-        objective = cone_search_objective(target, x_hat, delta, fallback)
-        solver_config = _solver_config(
-            config,
-            budget,
-            config.path_sigma0,
-            derive_seed(config.seed, "path", kind, run_index, k, "solver"),
-        )
-        point, trace = optimizer(objective, current, solver_config)
-        points.append(point)
-        fitnesses.append(float(trace.best_fitness))
-        current = point
-    return PathResult(
-        kind=kind,
-        deltas=tuple(sorted(config.deltas)),
-        points=tuple(points),
-        fitnesses=tuple(fitnesses),
-        run_index=run_index,
+    *labels,
+) -> Search:
+    """One search on the cone at ``delta``; ``labels`` name its random
+    streams.  With no ``start``, it starts from a random direction."""
+    fallback = derive_rng(config.seed, *labels, "degenerate")
+    objective = cone_search_objective(target, x_hat, delta, fallback)
+    if start is None:
+        direction = random_orthogonal_unit(x_hat, derive_rng(config.seed, *labels, "start"))
+        start = objective.as_stimulus(direction.values)
+    solver_config = _solver_config(
+        config,
+        config.path_budget_per_dim * target.size,
+        config.path_sigma0,
+        derive_seed(config.seed, *labels, "solver"),
     )
+    return Search(objective, start, solver_config, _SIGNS[kind])
+
+
+def cone_searches(
+    target: TargetHandle,
+    x_hat: Stimulus,
+    config: SearchConfig,
+    path_kinds: tuple[str, ...] = (),
+    subspace_kinds: tuple[str, ...] = (),
+    run_index: int = 0,
+) -> tuple[list[PathResult], dict[str, SubspaceSample]]:
+    """Path chains and subspace samples around ``x_hat``, run together.
+
+    The chains advance one cone angle at a time, ascending.  At each
+    angle, the step of every chain in ``path_kinds`` runs beside the
+    others, warm-started from that chain's previous point; the subspace
+    runs of ``subspace_kinds`` join the first angle.  Returns the paths
+    in ``path_kinds`` order and the subspace samples by kind.
+    """
+    for kind in (*path_kinds, *subspace_kinds):
+        if kind not in _SIGNS:
+            raise ValueError(f"unknown kind {kind!r}")
+    deltas = tuple(sorted(config.deltas))
+    subspace = [
+        _cone_search(target, x_hat, config, config.subspace_delta, None, kind, "subspace", kind, i)
+        for kind in subspace_kinds
+        for i in range(config.subspace_runs)
+    ]
+    chains = {kind: [] for kind in path_kinds}
+    columns = None
+    for k, delta in enumerate(deltas):
+        steps = [
+            _cone_search(
+                target, x_hat, config, delta, chain[-1][0] if chain else x_hat,
+                kind, "path", kind, run_index, k,
+            )
+            for kind, chain in chains.items()
+        ]
+        outcomes = _run_searches(steps + (subspace if k == 0 else []))
+        for chain, outcome in zip(chains.values(), outcomes):
+            chain.append(outcome)
+        if k == 0:
+            columns = outcomes[len(steps) :]
+    if columns is None:
+        columns = _run_searches(subspace)
+
+    paths = [
+        PathResult(
+            kind=kind,
+            deltas=deltas,
+            points=tuple(point for point, _ in chain),
+            fitnesses=tuple(float(trace.best_fitness) for _, trace in chain),
+            run_index=run_index,
+        )
+        for kind, chain in chains.items()
+    ]
+    runs = config.subspace_runs
+    samples = {}
+    for j, kind in enumerate(subspace_kinds):
+        part = columns[j * runs : (j + 1) * runs]
+        samples[kind] = SubspaceSample(
+            kind=kind,
+            delta=config.subspace_delta,
+            columns=tuple(point for point, _ in part),
+            fitnesses=tuple(float(trace.best_fitness) for _, trace in part),
+            anchor=x_hat,
+        )
+    return paths, samples
 
 
 def invariance_path(
     target: TargetHandle, x_hat: Stimulus, config: SearchConfig, run_index: int = 0
 ) -> PathResult:
     """Maximize along ascending cone angles, warm-starting each from the last."""
-    return _path(target, x_hat, config, "invariance", run_index)
+    return cone_searches(target, x_hat, config, ("invariance",), run_index=run_index)[0][0]
 
 
 def selectivity_path(
     target: TargetHandle, x_hat: Stimulus, config: SearchConfig, run_index: int = 0
 ) -> PathResult:
     """Minimize along ascending cone angles, warm-starting each from the last."""
-    return _path(target, x_hat, config, "selectivity", run_index)
+    return cone_searches(target, x_hat, config, ("selectivity",), run_index=run_index)[0][0]
 
 
 def subspace_sample(
@@ -279,36 +405,36 @@ def subspace_sample(
     kind: str = "invariance",
 ) -> SubspaceSample:
     """Independent cone searches from scattered starts at one angle."""
-    if kind not in ("invariance", "selectivity"):
-        raise ValueError(f"unknown kind {kind!r}")
-    optimizer = maximize if kind == "invariance" else minimize
-    n = target.size
-    budget = config.path_budget_per_dim * n
-    delta = config.subspace_delta
-    columns = []
-    fitnesses = []
-    for i in range(config.subspace_runs):
-        fallback = derive_rng(config.seed, "subspace", kind, i, "degenerate")
-        objective = cone_search_objective(target, x_hat, delta, fallback)
-        start_rng = derive_rng(config.seed, "subspace", kind, i, "start")
-        start_direction = random_orthogonal_unit(x_hat, start_rng)
-        start = objective.as_stimulus(start_direction.values)
+    return cone_searches(target, x_hat, config, subspace_kinds=(kind,))[1][kind]
+
+
+def reconstruct_plan(target: TargetHandle, x_star: Stimulus, config: SearchConfig) -> SearchPlan:
+    """Plan of ``reconstruct``: the reference is forwarded and the
+    seedings run here, the searches when the plan runs."""
+    reference_response = target.evaluate(x_star)
+    objective = sphere_search_objective(match_fitness(target, reference_response), config.energy)
+    budget = config.reconstruct_budget_per_dim * target.size
+    searches = []
+    for i in range(config.reconstruct_runs):
+        init_rng = derive_rng(config.seed, "reconstruct", i, "init")
+        x0, _, _ = seeded_init(objective, config.seed_candidates, config.alpha_set, init_rng)
         solver_config = _solver_config(
             config,
             budget,
-            config.path_sigma0,
-            derive_seed(config.seed, "subspace", kind, i, "solver"),
+            config.optimal_sigma0,
+            derive_seed(config.seed, "reconstruct", i, "solver"),
         )
-        point, trace = optimizer(objective, start, solver_config)
-        columns.append(point)
-        fitnesses.append(float(trace.best_fitness))
-    return SubspaceSample(
-        kind=kind,
-        delta=delta,
-        columns=tuple(columns),
-        fitnesses=tuple(fitnesses),
-        anchor=x_hat,
-    )
+        searches.append(Search(objective, x0, solver_config))
+
+    def finish(outcomes) -> ReconstructionSet:
+        return ReconstructionSet(
+            reference=x_star,
+            reference_response=reference_response,
+            reconstructions=tuple(point for point, _ in outcomes),
+            fitnesses=tuple(float(trace.best_fitness) for _, trace in outcomes),
+        )
+
+    return SearchPlan(tuple(searches), finish)
 
 
 def reconstruct(
@@ -319,33 +445,7 @@ def reconstruct(
     The search runs on the sphere only; no distance constraint ties the
     reconstructions to the reference.
     """
-    from .targets import match_fitness
-
-    reference_response = target.evaluate(x_star)
-    matcher = match_fitness(target, reference_response)
-    objective = sphere_search_objective(matcher, config.energy)
-    n = target.size
-    budget = config.reconstruct_budget_per_dim * n
-    reconstructions = []
-    fitnesses = []
-    for i in range(config.reconstruct_runs):
-        init_rng = derive_rng(config.seed, "reconstruct", i, "init")
-        x0, _, _ = seeded_init(objective, config.seed_candidates, config.alpha_set, init_rng)
-        solver_config = _solver_config(
-            config,
-            budget,
-            config.optimal_sigma0,
-            derive_seed(config.seed, "reconstruct", i, "solver"),
-        )
-        point, trace = maximize(objective, x0, solver_config)
-        reconstructions.append(point)
-        fitnesses.append(float(trace.best_fitness))
-    return ReconstructionSet(
-        reference=x_star,
-        reference_response=reference_response,
-        reconstructions=tuple(reconstructions),
-        fitnesses=tuple(fitnesses),
-    )
+    return run_plans([reconstruct_plan(target, x_star, config)])[0]
 
 
 def random_walk_curve(
@@ -359,17 +459,18 @@ def random_walk_curve(
 
     Each walk draws one orthogonal direction and reuses it for every
     angle, so a walk traces a single geodesic away from the optimum.
+    Every blend is scored in one call.
     """
     if n_walks < 1:
         raise ValueError("need at least one walk")
-    samples = []
-    for _ in range(n_walks):
-        direction = random_orthogonal_unit(x_hat, rng)
-        for delta in deltas:
-            blend = np.cos(delta) * x_hat.values + np.sin(delta) * direction.values
-            stimulus = Stimulus(
-                values=blend, height=x_hat.height, width=x_hat.width, energy=x_hat.energy
-            )
-            fitness = float(target.scalar_batch(stimulus.values[None, :])[0])
-            samples.append((float(delta), fitness))
-    return samples
+    directions = [random_orthogonal_unit(x_hat, rng) for _ in range(n_walks)]
+    angles = [float(delta) for _ in directions for delta in deltas]
+    blends = np.array(
+        [
+            np.cos(delta) * x_hat.values + np.sin(delta) * direction.values
+            for direction in directions
+            for delta in deltas
+        ]
+    ).reshape(len(angles), x_hat.size)
+    fitnesses = target.scalar_batch(blends)
+    return [(delta, float(fitness)) for delta, fitness in zip(angles, fitnesses)]

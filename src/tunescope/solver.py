@@ -13,26 +13,37 @@ buffer, scaled by the discounts applied since) and folded into the
 dense covariance only at the next eigendecomposition, the one place
 that reads it.  A generation therefore costs O(mu n) in the update
 instead of several n x n passes.
+
+Independent searches that read one network can run in lockstep.  Each
+keeps its own strategy, generator, trace and stop rule, and one forward
+call scores a generation of all of them.  A lone search is the same
+loop with one member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteObjectiveError
 from .stimulus import Stimulus, sample_pink_noise
 
+if TYPE_CHECKING:
+    from .targets import TargetHandle
+
 __all__ = [
     "SolverConfig",
     "SearchTrace",
     "TerminationReason",
     "ProjectedObjective",
+    "Search",
     "sphere_objective",
     "default_population_size",
+    "lockstep_groups",
+    "run_lockstep",
     "maximize",
     "minimize",
     "seeded_init",
@@ -103,6 +114,12 @@ class ProjectedObjective:
     ``project_batch`` maps raw sample rows onto the feasible manifold,
     ``fitness_batch`` scores feasible rows.  The solver never sees an
     unprojected point's fitness.
+
+    An objective that reads a shared network names it as ``network``,
+    with a ``readout`` from that network's responses to fitness values:
+    ``fitness_batch`` is then the readout of ``network.batch``.
+    Searches whose objectives name one network can score a generation
+    in one forward call.
     """
 
     height: int
@@ -110,6 +127,8 @@ class ProjectedObjective:
     energy: float
     project_batch: Callable[[np.ndarray], np.ndarray]
     fitness_batch: Callable[[np.ndarray], np.ndarray]
+    network: TargetHandle | None = None
+    readout: Callable[[np.ndarray], np.ndarray] | None = None
 
     def evaluate_batch(self, raw: np.ndarray) -> np.ndarray:
         return np.asarray(self.fitness_batch(self.project_batch(raw)), dtype=np.float64)
@@ -243,80 +262,155 @@ class _Strategy:
         self.sigma *= float(np.exp(min(1.0, step)))
 
 
-def _run(
-    objective: ProjectedObjective,
-    x0: Stimulus,
-    config: SolverConfig,
-    sign: float,
-) -> tuple[Stimulus, SearchTrace]:
-    n = x0.size
-    lam = config.resolved_population_size(n)
-    rng = np.random.default_rng(config.seed)
-    trace = SearchTrace()
+@dataclass(frozen=True)
+class Search:
+    """One search: maximize ``objective`` from ``x0`` when ``sign`` is 1,
+    minimize it when ``sign`` is -1."""
 
-    def score_batch(raw: np.ndarray) -> np.ndarray:
-        values = objective.evaluate_batch(raw)
+    objective: ProjectedObjective
+    x0: Stimulus
+    config: SolverConfig
+    sign: float = 1.0
+
+
+class _Run:
+    """A search in progress: its own strategy, generator, trace and stop rule."""
+
+    def __init__(self, search: Search):
+        self.search = search
+        x0, config = search.x0, search.config
+        self.lam = config.resolved_population_size(x0.size)
+        self.trace = SearchTrace()
+        rng = np.random.default_rng(config.seed)
+        self.strategy = _Strategy(x0.values, config.initial_step * x0.energy, self.lam, rng)
+        # the start point is scored alone
+        f0 = float(self._checked(search.objective.evaluate_batch(x0.values[None, :]))[0])
+        self.strategy.counteval = 1
+        self.trace.evaluations_used = 1
+        self.best_raw = x0.values.copy()
+        self.best_score = search.sign * f0
+        self.trace.best_fitness_history.append((1, f0))
+        self.stalled = 0
+
+    def _checked(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=np.float64)
         if not np.all(np.isfinite(values)):
             err = NonFiniteObjectiveError("objective returned a non-finite value")
-            err.trace = trace
+            err.trace = self.trace
             raise err
         return values
 
-    strategy = _Strategy(x0.values, config.initial_step * x0.energy, lam, rng)
+    def stopped(self) -> bool:
+        """Set the termination reason and return True once the search must stop."""
+        config = self.search.config
+        if self.trace.evaluations_used + self.lam > config.max_evaluations:
+            self.trace.termination_reason = TerminationReason.BUDGET
+        elif self.strategy.sigma < config.step_tolerance * self.search.x0.energy:
+            self.trace.termination_reason = TerminationReason.STEP_TOLERANCE
+        elif self.stalled >= config.stagnation_window:
+            self.trace.termination_reason = TerminationReason.STAGNATION
+        return self.trace.termination_reason is not None
 
-    f0 = float(score_batch(x0.values[None, :])[0])
-    strategy.counteval = 1
-    trace.evaluations_used = 1
-    best_raw = x0.values.copy()
-    best_score = sign * f0
-    trace.best_fitness_history.append((trace.evaluations_used, f0))
-
-    stalled = 0
-    reason = TerminationReason.BUDGET
-    while True:
-        if trace.evaluations_used + lam > config.max_evaluations:
-            reason = TerminationReason.BUDGET
-            break
-        if strategy.sigma < config.step_tolerance * x0.energy:
-            reason = TerminationReason.STEP_TOLERANCE
-            break
-        if stalled >= config.stagnation_window:
-            reason = TerminationReason.STAGNATION
-            break
-
-        points = strategy.ask()
-        fitness = score_batch(points)
-        strategy.counteval += lam
+    def tell(self, points: np.ndarray, fitness: np.ndarray) -> None:
+        fitness = self._checked(fitness)
+        strategy, trace = self.strategy, self.trace
+        strategy.counteval += self.lam
         trace.evaluations_used = strategy.counteval
         trace.generations += 1
-        scores = sign * fitness
+        scores = self.search.sign * fitness
         strategy.tell(points, scores)
 
         gen_best = int(np.argmax(scores))
-        if scores[gen_best] > best_score:
-            best_score = float(scores[gen_best])
-            best_raw = points[gen_best].copy()
+        if scores[gen_best] > self.best_score:
+            self.best_score = float(scores[gen_best])
+            self.best_raw = points[gen_best].copy()
             trace.best_fitness_history.append((trace.evaluations_used, float(fitness[gen_best])))
-            stalled = 0
+            self.stalled = 0
         else:
-            stalled += 1
+            self.stalled += 1
 
-    trace.termination_reason = reason
-    return objective.as_stimulus(best_raw), trace
+    def result(self) -> tuple[Stimulus, SearchTrace]:
+        return self.search.objective.as_stimulus(self.best_raw), self.trace
+
+
+def _fitness(runs: list[_Run], feasible: list[np.ndarray]) -> list[np.ndarray]:
+    """Each run's fitness of its feasible rows, in one call for all of them."""
+    first = runs[0].search.objective
+    if first.network is None:
+        return [first.fitness_batch(feasible[0])]
+    responses = first.network.batch(np.concatenate(feasible))
+    ends = np.cumsum([len(rows) for rows in feasible])
+    return [
+        run.search.objective.readout(responses[end - len(rows) : end])
+        for run, rows, end in zip(runs, feasible, ends)
+    ]
+
+
+def lockstep_groups(searches: Sequence[Search]) -> list[list[Search]]:
+    """Split ``searches``, in order, into groups that ``run_lockstep`` takes.
+
+    Consecutive searches whose objectives read the same network share a
+    group while one generation of all of them fits in one forward chunk
+    of that network.  A search whose objective reads no network that
+    states a chunk is a group of its own.
+    """
+    groups: list[list[Search]] = []
+    rows = 0
+    for search in searches:
+        network = search.objective.network
+        lam = search.config.resolved_population_size(search.x0.size)
+        joins = (
+            groups
+            and network is not None
+            and network.chunk is not None
+            and groups[-1][0].objective.network is network
+            and rows + lam <= network.chunk
+        )
+        if joins:
+            groups[-1].append(search)
+            rows += lam
+        else:
+            groups.append([search])
+            rows = lam
+    return groups
+
+
+def run_lockstep(searches: Sequence[Search]) -> list[tuple[Stimulus, SearchTrace]]:
+    """Run independent searches generation by generation.
+
+    Every generation, each running search draws its rows and projects
+    them with its own objective.  The rows of all of them go through
+    their shared network in one forward call, and each search reads its
+    slice through its own readout.  A search stops by its own rule while
+    the others go on.  ``searches`` must be one of ``lockstep_groups``;
+    each result is the one the search would give run alone.
+    """
+    if len(lockstep_groups(searches)) > 1:
+        raise ValueError("searches do not share one network chunk")
+    runs = [_Run(search) for search in searches]
+    active = runs
+    while True:
+        active = [run for run in active if not run.stopped()]
+        if not active:
+            return [run.result() for run in runs]
+        points = [run.strategy.ask() for run in active]
+        feasible = [run.search.objective.project_batch(p) for run, p in zip(active, points)]
+        for run, p, fitness in zip(active, points, _fitness(active, feasible)):
+            run.tell(p, fitness)
 
 
 def maximize(
     objective: ProjectedObjective, x0: Stimulus, config: SolverConfig
 ) -> tuple[Stimulus, SearchTrace]:
     """Maximize the objective from a feasible start point."""
-    return _run(objective, x0, config, sign=1.0)
+    return run_lockstep([Search(objective, x0, config, 1.0)])[0]
 
 
 def minimize(
     objective: ProjectedObjective, x0: Stimulus, config: SolverConfig
 ) -> tuple[Stimulus, SearchTrace]:
     """Minimize the objective; the trace records the minimized values."""
-    return _run(objective, x0, config, sign=-1.0)
+    return run_lockstep([Search(objective, x0, config, -1.0)])[0]
 
 
 def seeded_init(

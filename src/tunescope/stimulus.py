@@ -244,10 +244,16 @@ def sample_pink_noise(
         envelope = np.zeros_like(freq)
         envelope[nonzero] = freq[nonzero] ** (-a)
         spectrum[k :: len(alphas)] *= envelope
-    shaped = np.fft.ifft2(spectrum).real
-    rows = np.empty((n, height * width))
+    # what project_sphere does to each row, with one finiteness check
+    shaped = np.ascontiguousarray(np.fft.ifft2(spectrum).real).reshape(n, height * width)
+    if not np.all(np.isfinite(shaped)):
+        raise NonFiniteError("cannot project non-finite values")
+    rows = np.empty_like(shaped)
     for row, pattern in zip(rows, shaped):
-        row[:] = project_sphere(pattern, energy).values
+        norm = float(np.linalg.norm(pattern))
+        if norm == 0.0:
+            raise ZeroVectorError("cannot project the zero vector onto the sphere")
+        np.multiply(pattern, energy / norm, out=row)
     if count is None:
         return Stimulus(values=rows[0], height=height, width=width, energy=energy)
     return rows

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,19 +7,32 @@ from tunescope.measures import path_potential_unit
 from tunescope.search import (
     SearchConfig,
     cone_search_objective,
+    cone_searches,
     cone_violation,
     default_deltas,
     invariance_path,
+    optimal_plan,
     optimal_stimulus,
     random_walk_curve,
     reconstruct,
+    reconstruct_plan,
+    run_plans,
     selectivity_path,
     sphere_search_objective,
     sphere_violation,
     subspace_sample,
 )
-from tunescope.stimulus import Stimulus, project_cone
-from tunescope.targets import TargetHandle, linear_neuron, quadratic_neuron
+from tunescope.solver import default_population_size
+from tunescope.stimulus import Stimulus, project_cone, random_orthogonal_unit
+from tunescope.targets import (
+    TargetHandle,
+    default_l1_spec,
+    linear_neuron,
+    match_fitness,
+    quadratic_neuron,
+    sthor_network,
+    unit_view,
+)
 
 FAST = SearchConfig(
     seed=101,
@@ -322,3 +337,106 @@ class TestRandomWalk:
         target, w = make_linear()
         with pytest.raises(ValueError):
             random_walk_curve(target, w, default_deltas(), 0, np.random.default_rng(0))
+
+    def test_one_forward_call_for_all_walks(self):
+        target, w = make_linear()
+        calls = []
+
+        def spy_batch(matrix):
+            calls.append(len(matrix))
+            return target.batch(matrix)
+
+        spy = TargetHandle(4, 4, 1, spy_batch, name="spy")
+        deltas = default_deltas()
+        samples = random_walk_curve(spy, w, deltas, 3, np.random.default_rng(12))
+        assert calls == [3 * len(deltas)]
+        replay = np.random.default_rng(12)
+        expected = []
+        for _ in range(3):
+            direction = random_orthogonal_unit(w, replay)
+            for delta in deltas:
+                blend = np.cos(delta) * w.values + np.sin(delta) * direction.values
+                expected.append((delta, float(target.batch(blend[None, :])[0, 0])))
+        assert [delta for delta, _ in samples] == [delta for delta, _ in expected]
+        for (_, fitness), (_, value) in zip(samples, expected):
+            assert fitness == pytest.approx(value, abs=1e-12)
+
+
+NETWORK = sthor_network(default_l1_spec(weight_seed=21))
+LOCKSTEP = SearchConfig(
+    seed=7,
+    optimal_runs=2,
+    optimal_budget_per_dim=1,
+    seed_candidates=20,
+    deltas=(0.1 * np.pi, 0.3 * np.pi),
+    path_budget_per_dim=1,
+    subspace_runs=2,
+    reconstruct_runs=2,
+    reconstruct_budget_per_dim=1,
+)
+
+
+def recording_network(rows):
+    def batch(matrix):
+        rows.append(len(matrix))
+        return NETWORK.batch(matrix)
+
+    return replace(NETWORK, batch=batch)
+
+
+def same_points(first, second):
+    return [p.values.tobytes() for p in first] == [p.values.tobytes() for p in second]
+
+
+class TestLockstepProcedures:
+    """Procedures that share one network give the bytes of separate runs."""
+
+    def test_cone_searches_match_separate_procedures(self):
+        rows = []
+        network = recording_network(rows)
+        reference = NETWORK.evaluate(unit_stim(np.arange(1.0, 122.0), 11, 11))
+        target = match_fitness(network, reference)
+        x_hat = optimal_stimulus(target, LOCKSTEP).x_hat
+        both = ("invariance", "selectivity")
+        rows.clear()
+        paths, samples = cone_searches(target, x_hat, LOCKSTEP, both, both)
+        lam = default_population_size(NETWORK.size)
+        assert max(rows) == (NETWORK.chunk // lam) * lam
+        separate = [invariance_path(target, x_hat, LOCKSTEP), selectivity_path(target, x_hat, LOCKSTEP)]
+        for path, expected in zip(paths, separate):
+            assert path.kind == expected.kind and path.deltas == expected.deltas
+            assert same_points(path.points, expected.points)
+            assert path.fitnesses == expected.fitnesses
+        for kind in both:
+            expected = subspace_sample(target, x_hat, LOCKSTEP, kind=kind)
+            assert same_points(samples[kind].columns, expected.columns)
+            assert samples[kind].fitnesses == expected.fitnesses
+            assert samples[kind].delta == expected.delta and samples[kind].anchor is x_hat
+
+    def test_plans_match_separate_procedures(self):
+        rows = []
+        network = recording_network(rows)
+        x_star = unit_stim(np.cos(np.arange(121.0)), 11, 11)
+        unit_config = LOCKSTEP.scaled(seed=8)
+        match_config = LOCKSTEP.scaled(seed=9)
+        target = match_fitness(network, NETWORK.evaluate(unit_stim(np.ones(121), 11, 11)))
+        plans = [
+            optimal_plan(unit_view(network, 5), unit_config),
+            optimal_plan(target, match_config),
+            reconstruct_plan(network, x_star, LOCKSTEP),
+        ]
+        rows.clear()
+        unit, match, recon = run_plans(plans)
+        assert max(rows) == 3 * default_population_size(NETWORK.size)
+        for result, expected in (
+            (unit, optimal_stimulus(unit_view(network, 5), unit_config)),
+            (match, optimal_stimulus(target, match_config)),
+        ):
+            assert result.x_hat.values.tobytes() == expected.x_hat.values.tobytes()
+            assert result.fitness == expected.fitness
+            assert result.trace == expected.trace
+            assert result.run_records == expected.run_records
+        expected = reconstruct(network, x_star, LOCKSTEP)
+        assert same_points(recon.reconstructions, expected.reconstructions)
+        assert recon.fitnesses == expected.fitnesses
+        assert recon.reference_response.tobytes() == expected.reference_response.tobytes()

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,17 +7,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tunescope.errors import NonFiniteObjectiveError
+from tunescope.search import sphere_search_objective
 from tunescope.solver import (
+    Search,
+    SearchTrace,
     SolverConfig,
     TerminationReason,
     _Strategy,
     default_population_size,
+    lockstep_groups,
     maximize,
     minimize,
+    run_lockstep,
     seeded_init,
     sphere_objective,
 )
 from tunescope.stimulus import project_sphere, sample_pink_noise
+from tunescope.targets import (
+    default_l1_spec,
+    default_l2_spec,
+    linear_neuron,
+    match_fitness,
+    sthor_network,
+    unit_view,
+)
 
 
 def linear_objective(w, shape, energy=1.0):
@@ -308,3 +322,181 @@ class TestDeferredCovariance:
         assert trace.termination_reason is TerminationReason.BUDGET
         assert counts["updates"] > 0
         assert counts["folds"] == counts["eigh"] == counts["updates"]
+
+
+def reference_search(objective, x0, config, sign):
+    """The one-search generation loop the lockstep runner replaced."""
+    lam = config.resolved_population_size(x0.size)
+    trace = SearchTrace()
+    strategy = _Strategy(
+        x0.values, config.initial_step * x0.energy, lam, np.random.default_rng(config.seed)
+    )
+    f0 = float(objective.evaluate_batch(x0.values[None, :])[0])
+    strategy.counteval = trace.evaluations_used = 1
+    best_raw, best_score = x0.values.copy(), sign * f0
+    trace.best_fitness_history.append((1, f0))
+    stalled = 0
+    while True:
+        if trace.evaluations_used + lam > config.max_evaluations:
+            reason = TerminationReason.BUDGET
+            break
+        if strategy.sigma < config.step_tolerance * x0.energy:
+            reason = TerminationReason.STEP_TOLERANCE
+            break
+        if stalled >= config.stagnation_window:
+            reason = TerminationReason.STAGNATION
+            break
+        points = strategy.ask()
+        fitness = objective.evaluate_batch(points)
+        strategy.counteval += lam
+        trace.evaluations_used = strategy.counteval
+        trace.generations += 1
+        scores = sign * fitness
+        strategy.tell(points, scores)
+        gen_best = int(np.argmax(scores))
+        if scores[gen_best] > best_score:
+            best_score, best_raw = float(scores[gen_best]), points[gen_best].copy()
+            trace.best_fitness_history.append((trace.evaluations_used, float(fitness[gen_best])))
+            stalled = 0
+        else:
+            stalled += 1
+    trace.termination_reason = reason
+    return objective.as_stimulus(best_raw), trace
+
+
+L1 = sthor_network(default_l1_spec(weight_seed=3))
+L1_LAMBDA = default_population_size(L1.size)
+
+
+def l1_search(readout, index, sign, generations, spare, window, tolerance, seed, network=L1):
+    """A sphere search on one unit of ``network``, or on the match to the
+    response of a random stimulus, with a budget of ``generations``."""
+    rng = np.random.default_rng(seed)
+    if readout == "unit":
+        target = unit_view(network, index)
+    else:
+        reference = project_sphere(rng.standard_normal(L1.size), 1.0, (11, 11))
+        target = match_fitness(network, L1.evaluate(reference))
+    config = SolverConfig(
+        max_evaluations=1 + generations * L1_LAMBDA + spare,
+        stagnation_window=window,
+        step_tolerance=tolerance,
+        seed=seed,
+    )
+    x0 = project_sphere(rng.standard_normal(L1.size), 1.0, (11, 11))
+    return Search(sphere_search_objective(target, 1.0), x0, config, sign)
+
+
+def alone(search):
+    optimizer = maximize if search.sign > 0 else minimize
+    return optimizer(search.objective, search.x0, search.config)
+
+
+def grouped(searches):
+    return [outcome for group in lockstep_groups(searches) for outcome in run_lockstep(group)]
+
+
+def assert_same_outcomes(outcomes, expected):
+    assert len(outcomes) == len(expected)
+    for (point, trace), (expected_point, expected_trace) in zip(outcomes, expected):
+        assert point.values.tobytes() == expected_point.values.tobytes()
+        assert trace == expected_trace
+
+
+SEARCH_SETTINGS = st.tuples(
+    st.sampled_from(["unit", "match"]),
+    st.integers(0, L1.response_dim - 1),
+    st.sampled_from([1.0, -1.0]),
+    st.integers(1, 8),  # budgeted generations
+    st.integers(0, L1_LAMBDA - 1),  # spare evaluations
+    st.sampled_from([1, 2, 100]),  # stagnation window
+    st.sampled_from([1e-8, 0.25, 0.28]),  # step tolerance
+    st.integers(0, 2**16),
+)
+
+
+class TestLockstep:
+    @given(settings_list=st.lists(SEARCH_SETTINGS, min_size=2, max_size=7))
+    @settings(max_examples=25, deadline=None)
+    def test_groups_match_one_at_a_time(self, settings_list):
+        searches = [l1_search(*setting) for setting in settings_list]
+        expected = [reference_search(s.objective, s.x0, s.config, s.sign) for s in searches]
+        assert_same_outcomes(grouped(searches), expected)
+        assert_same_outcomes([alone(s) for s in searches], expected)
+
+    def test_members_stop_for_different_reasons(self):
+        searches = [
+            l1_search("unit", 4, 1.0, 8, 0, 100, 1e-8, 0),
+            l1_search("match", 0, -1.0, 8, 5, 1, 1e-8, 3),
+            l1_search("unit", 9, -1.0, 8, 0, 100, 0.28, 2),
+        ]
+        assert len(lockstep_groups(searches)) == 1
+        outcomes = grouped(searches)
+        assert_same_outcomes(outcomes, [alone(s) for s in searches])
+        assert [trace.termination_reason for _, trace in outcomes] == [
+            TerminationReason.BUDGET,
+            TerminationReason.STAGNATION,
+            TerminationReason.STEP_TOLERANCE,
+        ]
+        assert len({trace.generations for _, trace in outcomes}) == 3
+
+    def test_forward_calls_fit_the_chunk(self):
+        rows = []
+
+        def recording(matrix):
+            rows.append(len(matrix))
+            return L1.batch(matrix)
+
+        network = replace(L1, batch=recording)
+        searches = [
+            l1_search("unit" if i % 2 else "match", i, 1.0, 4, 0, 100, 1e-8, i, network=network)
+            for i in range(7)
+        ]
+        groups = lockstep_groups(searches)
+        assert [len(group) for group in groups] == [network.chunk // L1_LAMBDA] * 2 + [1]
+        rows.clear()
+        grouped(searches)
+        assert max(rows) == 3 * L1_LAMBDA <= network.chunk
+
+    @pytest.mark.parametrize("levels", [2, 0])
+    def test_one_search_per_group_without_room(self, levels):
+        """An L2 chunk holds one generation; a linear neuron states no chunk."""
+        if levels == 2:
+            network = sthor_network(default_l2_spec(weight_seed=1))
+            targets = [unit_view(network, i) for i in range(3)]
+        else:
+            targets = [linear_neuron(project_sphere(np.ones(121), 1.0, (11, 11)))] * 3
+        x0 = start_point(targets[0].size, targets[0].input_shape, seed=4)
+        objective = [sphere_search_objective(target, 1.0) for target in targets]
+        config = SolverConfig(max_evaluations=100)
+        searches = [Search(o, x0, config) for o in objective]
+        assert [len(group) for group in lockstep_groups(searches)] == [1, 1, 1]
+
+    def test_searches_on_different_networks_rejected(self):
+        other = sthor_network(default_l1_spec(weight_seed=4))
+        first = l1_search("unit", 0, 1.0, 2, 0, 100, 1e-8, 0)
+        second = l1_search("unit", 0, 1.0, 2, 0, 100, 1e-8, 1, network=other)
+        with pytest.raises(ValueError):
+            run_lockstep([first, second])
+
+    def test_non_finite_slice_raises_with_that_searchs_trace(self):
+        def poisoned(search, generations):
+            readout = search.objective.readout
+            calls = []
+
+            def failing(responses):
+                calls.append(len(responses))
+                values = readout(responses)
+                return np.full_like(values, np.nan) if len(calls) > generations else values
+
+            return replace(search, objective=replace(search.objective, readout=failing))
+
+        searches = [l1_search("unit", i, 1.0, 8, 0, 100, 1e-8, i) for i in range(3)]
+        with pytest.raises(NonFiniteObjectiveError) as grouped_error:
+            run_lockstep([searches[0], poisoned(searches[1], 2), searches[2]])
+        with pytest.raises(NonFiniteObjectiveError) as alone_error:
+            alone(poisoned(searches[1], 2))
+        trace = grouped_error.value.trace
+        assert trace.generations == 2
+        assert trace.evaluations_used == 1 + 2 * L1_LAMBDA
+        assert trace == alone_error.value.trace

@@ -215,6 +215,15 @@ class TestPinkNoiseBatch:
         assert batch_rng.bit_generator.state == single_rng.bit_generator.state
         assert batch_rng.bit_generator.state == reference_rng.bit_generator.state
 
+    @pytest.mark.parametrize(
+        "shape, alpha, error",
+        # a 1x1 pattern is its own DC bin; an envelope of 0.5 ** -2000 overflows
+        [((1, 1), 0.0, ZeroVectorError), ((4, 4), 2000.0, NonFiniteError)],
+    )
+    def test_degenerate_draws_raise_typed_errors(self, shape, alpha, error):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
+            sample_pink_noise(*shape, alpha, 1.0, np.random.default_rng(0), count=3)
+
     @pytest.mark.parametrize("count, alphas", [(0, (0.0,)), (3, ())])
     def test_empty_request_rejected(self, count, alphas):
         with pytest.raises(ValueError):

@@ -300,12 +300,12 @@ def reference_divisive_normalize(x, radius, strength, threshold):
     return x / (threshold + strength * local_rms[:, None, :, :])
 
 
-def reference_batch(spec, kernels, matrix):
+def reference_batch(spec, kernels, matrix, chunk):
     """The cascade with normalization geometry derived on every call."""
     side = spec.input_shape[0]
     parts = []
-    for start in range(0, matrix.shape[0], targets_module._BATCH_CHUNK):
-        x = matrix[start : start + targets_module._BATCH_CHUNK].reshape(-1, 1, side, side)
+    for start in range(0, matrix.shape[0], chunk):
+        x = matrix[start : start + chunk].reshape(-1, 1, side, side)
         for level, w in zip(spec.levels, kernels):
             x = targets_module._conv_valid(x, w.reshape(w.shape[0], -1), level.kernel_size)
             x = targets_module._apply_activation(x, level)
@@ -352,8 +352,9 @@ class TestForwardOracle:
     @settings(max_examples=60, deadline=None)
     def test_batch_bitwise_equals_per_call_geometry(self, spec, rows, seed):
         target = sthor_network(spec)
+        assert target.chunk == {1: 64, 2: 22}[len(spec.levels)]
         matrix = np.random.default_rng(seed).standard_normal((rows, target.size))
-        expected = reference_batch(spec, target.meta["kernels"], matrix)
+        expected = reference_batch(spec, target.meta["kernels"], matrix, target.chunk)
         assert target.batch(matrix).tobytes() == expected.tobytes()
 
 
