@@ -1,9 +1,10 @@
 """Golden artifact bytes.
 
 Pins the sha256 of every file that a tiny run of the command line
-writes: a one-level cascade from ``gen-net``, ``characterize`` and
-``paths`` on one of its units, and a ten-network ``bench`` store (so
-the correlation stage runs).  Budgets are cut to a few generations per
+writes: a one-level cascade from ``gen-net``; ``characterize``,
+``paths`` and ``subspace`` on one of its units; ``encode`` of two
+references through the whole cascade; and a ten-network ``bench`` store
+(so the correlation stage runs).  Budgets are cut to a few generations per
 search so the whole run takes seconds.
 
 Float bytes depend on the numpy and BLAS build, so ``golden_sha256.json``
@@ -47,6 +48,10 @@ COMMANDS = (
      "--seed", "3", "--config", "search.json", "--walks", "2", "--out", "out/char"],
     ["paths", "--target", "out/net", "--unit", "1", "--seed", "3",
      "--config", "search.json", "--walks", "2", "--out", "out/paths"],
+    ["subspace", "--target", "out/net", "--unit", "2", "--task", "task.json",
+     "--seed", "3", "--config", "search.json", "--out", "out/subspace"],
+    ["encode", "--target", "out/net", "--task", "task.json", "--references", "2",
+     "--seed", "3", "--config", "search.json", "--out", "out/encode"],
     ["bench", "--config", "study.json", "--out", "out/store", "--workers", "1"],
 )
 
