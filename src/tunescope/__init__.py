@@ -18,7 +18,6 @@ from .stimulus import (
     StimulusSet,
     angular_distance,
     average_energy,
-    project_cone,
     project_sphere,
     random_orthogonal_unit,
     sample_pink_noise,
@@ -40,7 +39,6 @@ __all__ = [
     "Stimulus",
     "StimulusSet",
     "project_sphere",
-    "project_cone",
     "sample_pink_noise",
     "random_orthogonal_unit",
     "angular_distance",

@@ -34,18 +34,9 @@ from .measures import (
     subspace_capacity,
     write_fd_csv,
 )
-from .search import (
-    SearchConfig,
-    cone_searches,
-    invariance_path,
-    optimal_plan,
-    optimal_stimulus,
-    reconstruct,  # unused here; perfbench/tracing.py wraps each procedure by its name here
-    reconstruct_plan,
-    run_plans,
-    selectivity_path,
-    subspace_sample,
-)
+from .search import SearchConfig, cone_stage, encode_plans, optimal_plan, optimal_stimulus, run_plans
+# unused here; perfbench/tracing.py wraps each procedure by its name here
+from .search import invariance_path, reconstruct, selectivity_path, subspace_sample
 from .seeds import derive_int, derive_rng
 from .stats import multiple_r2, pearson, permutation_test, spearman, write_correlation_csv
 from .stimulus import (
@@ -299,19 +290,11 @@ def characterize_unit(
     """Intrinsic scalar-unit protocol: optimum, two paths, four measures."""
     optimal = optimal_stimulus(target, config)
     x_hat = optimal.x_hat
-    paths = [
-        invariance_path(target, x_hat, config),
-        selectivity_path(target, x_hat, config),
-    ]
+    paths, samples = cone_stage(target, x_hat, config, with_subspace)
     osep = None if task is None else explanation_power(x_hat, task)
     insc = itsa = stsa = None
-    artifacts = {"optimal": optimal, "paths": paths, "subspace": {}}
+    artifacts = {"optimal": optimal, "paths": paths, "subspace": samples}
     if with_subspace:
-        samples = {
-            kind: subspace_sample(target, x_hat, config, kind=kind)
-            for kind in ("invariance", "selectivity")
-        }
-        artifacts["subspace"] = samples
         insc = subspace_capacity(samples["invariance"])
         if task is not None:
             _, itsa = subspace_alignment(samples["invariance"], task)
@@ -349,8 +332,7 @@ def characterize_population(
 
     Every search reads ``target``, so independent searches run in
     lockstep: the population optimum, the unit optima and the
-    reconstructions together, then at each cone angle the two path
-    steps, joined at the first angle by the subspace runs.
+    reconstructions together, then the cone stage.
     """
     if task.shape != target.input_shape or references.shape != target.input_shape:
         raise ValueError("task/reference shapes must match the target input")
@@ -370,12 +352,7 @@ def characterize_population(
         optimal_plan(unit_view(target, index), config.scaled(seed=derive_int(config.seed, "unit", index)))
         for index in unit_indices
     ]
-    plans += [
-        reconstruct_plan(
-            target, references[index], config.scaled(seed=derive_int(config.seed, "encode", index))
-        )
-        for index in range(len(references))
-    ]
+    plans += encode_plans(target, references, config)
     optimal, *rest = run_plans(plans)
     x_hat = optimal.x_hat
     unit_hats = [result.x_hat for result in rest[:n_units]]
@@ -383,8 +360,7 @@ def characterize_population(
     osep = float(np.mean([explanation_power(h, task) for h in unit_hats]))
     scores = [encoding_specificity(recon) for recon in recon_sets]
 
-    both = ("invariance", "selectivity")
-    paths, samples = cone_searches(matcher, x_hat, pop_config, both, both)
+    paths, samples = cone_stage(matcher, x_hat, pop_config, with_subspace=True)
     itsa_raw, itsa = subspace_alignment(samples["invariance"], task)
     stsa_raw, stsa = subspace_alignment(samples["selectivity"], task)
 

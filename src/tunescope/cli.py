@@ -44,10 +44,11 @@ from .measures import (
 )
 from .search import (
     SearchConfig,
+    encode_plans,
     optimal_stimulus,
     random_walk_curve,
-    reconstruct,
-    subspace_sample,
+    run_plans,
+    subspace_plan,
 )
 from .seeds import derive_int, derive_rng
 from .stimulus import Stimulus, StimulusSet, write_stimulus_csv, write_stimulus_pgm
@@ -241,12 +242,6 @@ def _print_report(report: MeasureReport) -> None:
     for name, value in report.as_dict().items():
         if value is not None:
             print(f"{name}: {value!r}")
-
-
-def _ensure_out(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +481,9 @@ def cmd_paths(run: RunConfig) -> None:
 def cmd_subspace(run: RunConfig) -> None:
     target = _scalar_target(run)
     optimal = optimal_stimulus(target, run.search)
-    samples = {
-        kind: subspace_sample(target, optimal.x_hat, run.search, kind=kind)
-        for kind in ("invariance", "selectivity")
-    }
+    kinds = ("invariance", "selectivity")
+    plans = [subspace_plan(target, optimal.x_hat, run.search, kind) for kind in kinds]
+    samples = dict(zip(kinds, run_plans(plans)))
     run.out.mkdir(parents=True, exist_ok=True)
     _write_optimal(run.out, optimal)
     _emit_subspace(run, samples)
@@ -502,12 +496,11 @@ def cmd_encode(run: RunConfig) -> None:
     references = sample_references(
         run.task, run.options["references"], seed=derive_int(run.seed, "references")
     )
+    recon_sets = run_plans(encode_plans(run.target, references, run.search))
     run.out.mkdir(parents=True, exist_ok=True)
     per_reference = []
     scores = []
-    for i, reference in enumerate(references):
-        config = run.search.scaled(seed=derive_int(run.seed, "encode", i))
-        recons = reconstruct(run.target, reference, config)
+    for i, (reference, recons) in enumerate(zip(references, recon_sets)):
         specificity = encoding_specificity(recons)
         best = int(np.argmax(recons.fitnesses))
         write_stimulus_csv(reference, run.out / f"reference_{i:02d}.csv")

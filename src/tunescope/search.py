@@ -7,16 +7,21 @@ reference stimuli through response matching, and unoptimized random
 walks.  All of them compose projections into the objective and derive
 every random stream from one configured seed, so a full
 characterization is reproducible bit for bit.
+
+Each search procedure is a plan: a generator that does its set-up, then
+yields rounds of independent searches and returns its result.
+``run_plans`` runs plans together round by round, so searches that read
+one network share its forward calls with unchanged results.
 """
 
 from __future__ import annotations
 
+from collections.abc import Generator, Iterable
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
-from .seeds import derive_rng, derive_seed
+from .seeds import derive_int, derive_rng, derive_seed
 from .solver import (
     ProjectedObjective,
     Search,
@@ -38,16 +43,19 @@ __all__ = [
     "PathResult",
     "SubspaceSample",
     "ReconstructionSet",
-    "SearchPlan",
-    "optimal_plan",
-    "reconstruct_plan",
+    "Plan",
     "run_plans",
+    "optimal_plan",
+    "path_plan",
+    "subspace_plan",
+    "reconstruct_plan",
     "optimal_stimulus",
-    "cone_searches",
     "invariance_path",
     "selectivity_path",
     "subspace_sample",
     "reconstruct",
+    "encode_plans",
+    "cone_stage",
     "random_walk_curve",
     "sphere_search_objective",
     "cone_search_objective",
@@ -61,6 +69,13 @@ def default_deltas() -> tuple[float, ...]:
     return tuple(0.1 * np.pi * k for k in range(1, 6))
 
 
+# the least value of each run count, candidate count and budget per dimension
+_MINIMUMS = dict(
+    optimal_runs=1, optimal_budget_per_dim=1, seed_candidates=1, path_budget_per_dim=1,
+    subspace_runs=2, reconstruct_runs=1, reconstruct_budget_per_dim=1,
+)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Budgets, grids and seeding for one full characterization.
@@ -68,7 +83,9 @@ class SearchConfig:
     Budgets are per dimension: a target with N inputs gets
     ``optimal_budget_per_dim * N`` evaluations for each optimal-stimulus
     run and ``path_budget_per_dim * N`` per cone angle.  Cone angles
-    (``deltas`` and ``subspace_delta``) must lie in (0, pi].
+    (``deltas``, at least one, and ``subspace_delta``) must lie in
+    (0, pi].  A subspace needs at least two runs; every other run count,
+    candidate count and budget is at least 1.
     """
 
     seed: int = 0
@@ -89,9 +106,14 @@ class SearchConfig:
     step_tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
+        if not self.deltas:
+            raise ValueError("deltas needs at least one cone angle")
         for delta in (*self.deltas, self.subspace_delta):
             if not 0 < delta <= np.pi:
                 raise ValueError(f"cone angle {delta} outside (0, pi]")
+        for name, least in _MINIMUMS.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} is {getattr(self, name)}; it must be at least {least}")
 
     def scaled(self, **overrides) -> "SearchConfig":
         return replace(self, **overrides)
@@ -186,6 +208,11 @@ def cone_violation(stimulus: Stimulus, x_hat: Stimulus, delta: float) -> float:
 # procedures
 
 
+# A plan yields lists of independent searches, is sent their (point,
+# trace) outcomes in order, and returns the procedure's result.
+Plan = Generator[list[Search], list[tuple[Stimulus, SearchTrace]], object]
+
+
 def _solver_config(config: SearchConfig, budget: int, sigma0: float, seed) -> SolverConfig:
     return SolverConfig(
         max_evaluations=budget,
@@ -196,44 +223,46 @@ def _solver_config(config: SearchConfig, budget: int, sigma0: float, seed) -> So
     )
 
 
-@dataclass(frozen=True)
-class SearchPlan:
-    """A procedure's independent searches, and ``finish``, which makes
-    the procedure's result from their (point, trace) outcomes in order."""
+def run_plans(plans: list[Plan]) -> list:
+    """Run several plans round by round; return each plan's result.
 
-    searches: tuple[Search, ...]
-    finish: Callable[[list[tuple[Stimulus, SearchTrace]]], object]
+    Every plan is started first, so all set-up runs before any search.
+    Each round takes the searches every live plan yielded, in plan
+    order, runs those that read one network in lockstep groups and a
+    lone search through ``maximize`` or ``minimize``, and sends each
+    plan its own outcomes.
+    """
+    results: list = [None] * len(plans)
+    yielded: dict[int, list[Search]] = {}
 
+    def advance(index: int, outcomes) -> None:
+        try:
+            yielded[index] = plans[index].send(outcomes)
+        except StopIteration as done:
+            yielded.pop(index, None)
+            results[index] = done.value
 
-def _run_searches(searches: list[Search]) -> list[tuple[Stimulus, SearchTrace]]:
-    """Run independent searches; those that read one network go in
-    lockstep groups, and a lone search goes through ``maximize`` or
-    ``minimize``."""
-    outcomes = []
-    for group in lockstep_groups(searches):
-        if len(group) > 1:
-            outcomes += run_lockstep(group)
-        else:
-            (search,) = group
-            optimizer = maximize if search.sign > 0 else minimize
-            outcomes.append(optimizer(search.objective, search.x0, search.config))
-    return outcomes
-
-
-def run_plans(plans: list[SearchPlan]) -> list:
-    """Run the searches of several plans together; return each plan's result."""
-    outcomes = _run_searches([search for plan in plans for search in plan.searches])
-    results = []
-    for plan in plans:
-        count = len(plan.searches)
-        results.append(plan.finish(outcomes[:count]))
-        outcomes = outcomes[count:]
+    for index in range(len(plans)):
+        advance(index, None)
+    while yielded:
+        searches = [search for batch in yielded.values() for search in batch]
+        outcomes = []
+        for group in lockstep_groups(searches):
+            if len(group) > 1:
+                outcomes += run_lockstep(group)
+            else:
+                (search,) = group
+                optimizer = maximize if search.sign > 0 else minimize
+                outcomes.append(optimizer(search.objective, search.x0, search.config))
+        for index, batch in list(yielded.items()):
+            advance(index, outcomes[: len(batch)])
+            outcomes = outcomes[len(batch) :]
     return results
 
 
-def optimal_plan(target: TargetHandle, config: SearchConfig) -> SearchPlan:
-    """Plan of ``optimal_stimulus``: its seedings run here, its searches
-    when the plan runs."""
+def optimal_plan(target: TargetHandle, config: SearchConfig) -> Plan:
+    """Plan of ``optimal_stimulus``: the seedings, then one round of
+    ``optimal_runs`` searches."""
     if target.response_dim != 1:
         raise ValueError("optimal stimulus search needs a scalar target")
     objective = sphere_search_objective(target, config.energy)
@@ -250,38 +279,36 @@ def optimal_plan(target: TargetHandle, config: SearchConfig) -> SearchPlan:
             config, budget, config.optimal_sigma0, derive_seed(config.seed, "optimal", run, "solver")
         )
         searches.append(Search(objective, x0, solver_config))
+    outcomes = yield searches
 
-    def finish(outcomes) -> OptimalStimulusResult:
-        best = None
-        records = []
-        for run, ((init_fitness, init_evals), (point, trace)) in enumerate(zip(seedings, outcomes)):
-            records.append(
-                {
-                    "run": run,
-                    "init_fitness": init_fitness,
-                    "init_evaluations": init_evals,
-                    "fitness": trace.best_fitness,
-                    "evaluations": trace.evaluations_used,
-                    "termination": trace.termination_reason.value,
-                }
-            )
-            if best is None or trace.best_fitness > best[1]:
-                best = (point, trace.best_fitness, trace)
-        point, fitness, trace = best
-        init_source = {
-            "seed_candidates": config.seed_candidates,
-            "alpha_set": list(config.alpha_set),
-            "runs": config.optimal_runs,
-        }
-        return OptimalStimulusResult(
-            x_hat=point,
-            fitness=float(fitness),
-            trace=trace,
-            init_source=init_source,
-            run_records=tuple(records),
+    best = None
+    records = []
+    for run, ((init_fitness, init_evals), (point, trace)) in enumerate(zip(seedings, outcomes)):
+        records.append(
+            {
+                "run": run,
+                "init_fitness": init_fitness,
+                "init_evaluations": init_evals,
+                "fitness": trace.best_fitness,
+                "evaluations": trace.evaluations_used,
+                "termination": trace.termination_reason.value,
+            }
         )
-
-    return SearchPlan(tuple(searches), finish)
+        if best is None or trace.best_fitness > best[1]:
+            best = (point, trace.best_fitness, trace)
+    point, fitness, trace = best
+    init_source = {
+        "seed_candidates": config.seed_candidates,
+        "alpha_set": list(config.alpha_set),
+        "runs": config.optimal_runs,
+    }
+    return OptimalStimulusResult(
+        x_hat=point,
+        fitness=float(fitness),
+        trace=trace,
+        init_source=init_source,
+        run_records=tuple(records),
+    )
 
 
 def optimal_stimulus(target: TargetHandle, config: SearchConfig) -> OptimalStimulusResult:
@@ -303,6 +330,8 @@ def _cone_search(
 ) -> Search:
     """One search on the cone at ``delta``; ``labels`` name its random
     streams.  With no ``start``, it starts from a random direction."""
+    if kind not in _SIGNS:
+        raise ValueError(f"unknown kind {kind!r}")
     fallback = derive_rng(config.seed, *labels, "degenerate")
     objective = cone_search_objective(target, x_hat, delta, fallback)
     if start is None:
@@ -317,85 +346,51 @@ def _cone_search(
     return Search(objective, start, solver_config, _SIGNS[kind])
 
 
-def cone_searches(
-    target: TargetHandle,
-    x_hat: Stimulus,
-    config: SearchConfig,
-    path_kinds: tuple[str, ...] = (),
-    subspace_kinds: tuple[str, ...] = (),
-    run_index: int = 0,
-) -> tuple[list[PathResult], dict[str, SubspaceSample]]:
-    """Path chains and subspace samples around ``x_hat``, run together.
-
-    The chains advance one cone angle at a time, ascending.  At each
-    angle, the step of every chain in ``path_kinds`` runs beside the
-    others, warm-started from that chain's previous point; the subspace
-    runs of ``subspace_kinds`` join the first angle.  Returns the paths
-    in ``path_kinds`` order and the subspace samples by kind.
-    """
-    for kind in (*path_kinds, *subspace_kinds):
-        if kind not in _SIGNS:
-            raise ValueError(f"unknown kind {kind!r}")
+def path_plan(
+    target: TargetHandle, x_hat: Stimulus, config: SearchConfig, kind: str, run_index: int = 0
+) -> Plan:
+    """Plan of a cone path: one round per cone angle, ascending, whose
+    search starts from the previous round's point (``x_hat`` at first)."""
     deltas = tuple(sorted(config.deltas))
-    subspace = [
-        _cone_search(target, x_hat, config, config.subspace_delta, None, kind, "subspace", kind, i)
-        for kind in subspace_kinds
-        for i in range(config.subspace_runs)
-    ]
-    chains = {kind: [] for kind in path_kinds}
-    columns = None
+    point = x_hat
+    points = []
+    fitnesses = []
     for k, delta in enumerate(deltas):
-        steps = [
-            _cone_search(
-                target, x_hat, config, delta, chain[-1][0] if chain else x_hat,
-                kind, "path", kind, run_index, k,
-            )
-            for kind, chain in chains.items()
-        ]
-        outcomes = _run_searches(steps + (subspace if k == 0 else []))
-        for chain, outcome in zip(chains.values(), outcomes):
-            chain.append(outcome)
-        if k == 0:
-            columns = outcomes[len(steps) :]
-    if columns is None:
-        columns = _run_searches(subspace)
-
-    paths = [
-        PathResult(
-            kind=kind,
-            deltas=deltas,
-            points=tuple(point for point, _ in chain),
-            fitnesses=tuple(float(trace.best_fitness) for _, trace in chain),
-            run_index=run_index,
-        )
-        for kind, chain in chains.items()
-    ]
-    runs = config.subspace_runs
-    samples = {}
-    for j, kind in enumerate(subspace_kinds):
-        part = columns[j * runs : (j + 1) * runs]
-        samples[kind] = SubspaceSample(
-            kind=kind,
-            delta=config.subspace_delta,
-            columns=tuple(point for point, _ in part),
-            fitnesses=tuple(float(trace.best_fitness) for _, trace in part),
-            anchor=x_hat,
-        )
-    return paths, samples
+        step = _cone_search(target, x_hat, config, delta, point, kind, "path", kind, run_index, k)
+        [(point, trace)] = yield [step]
+        points.append(point)
+        fitnesses.append(float(trace.best_fitness))
+    return PathResult(kind, deltas, tuple(points), tuple(fitnesses), run_index)
 
 
 def invariance_path(
     target: TargetHandle, x_hat: Stimulus, config: SearchConfig, run_index: int = 0
 ) -> PathResult:
     """Maximize along ascending cone angles, warm-starting each from the last."""
-    return cone_searches(target, x_hat, config, ("invariance",), run_index=run_index)[0][0]
+    return run_plans([path_plan(target, x_hat, config, "invariance", run_index)])[0]
 
 
 def selectivity_path(
     target: TargetHandle, x_hat: Stimulus, config: SearchConfig, run_index: int = 0
 ) -> PathResult:
     """Minimize along ascending cone angles, warm-starting each from the last."""
-    return cone_searches(target, x_hat, config, ("selectivity",), run_index=run_index)[0][0]
+    return run_plans([path_plan(target, x_hat, config, "selectivity", run_index)])[0]
+
+
+def subspace_plan(target: TargetHandle, x_hat: Stimulus, config: SearchConfig, kind: str) -> Plan:
+    """Plan of ``subspace_sample``: one round of ``subspace_runs``
+    searches at ``subspace_delta``, each from a random direction."""
+    outcomes = yield [
+        _cone_search(target, x_hat, config, config.subspace_delta, None, kind, "subspace", kind, i)
+        for i in range(config.subspace_runs)
+    ]
+    return SubspaceSample(
+        kind=kind,
+        delta=config.subspace_delta,
+        columns=tuple(point for point, _ in outcomes),
+        fitnesses=tuple(float(trace.best_fitness) for _, trace in outcomes),
+        anchor=x_hat,
+    )
 
 
 def subspace_sample(
@@ -405,12 +400,12 @@ def subspace_sample(
     kind: str = "invariance",
 ) -> SubspaceSample:
     """Independent cone searches from scattered starts at one angle."""
-    return cone_searches(target, x_hat, config, subspace_kinds=(kind,))[1][kind]
+    return run_plans([subspace_plan(target, x_hat, config, kind)])[0]
 
 
-def reconstruct_plan(target: TargetHandle, x_star: Stimulus, config: SearchConfig) -> SearchPlan:
+def reconstruct_plan(target: TargetHandle, x_star: Stimulus, config: SearchConfig) -> Plan:
     """Plan of ``reconstruct``: the reference is forwarded and the
-    seedings run here, the searches when the plan runs."""
+    seedings run, then one round of ``reconstruct_runs`` searches."""
     reference_response = target.evaluate(x_star)
     objective = sphere_search_objective(match_fitness(target, reference_response), config.energy)
     budget = config.reconstruct_budget_per_dim * target.size
@@ -425,16 +420,13 @@ def reconstruct_plan(target: TargetHandle, x_star: Stimulus, config: SearchConfi
             derive_seed(config.seed, "reconstruct", i, "solver"),
         )
         searches.append(Search(objective, x0, solver_config))
-
-    def finish(outcomes) -> ReconstructionSet:
-        return ReconstructionSet(
-            reference=x_star,
-            reference_response=reference_response,
-            reconstructions=tuple(point for point, _ in outcomes),
-            fitnesses=tuple(float(trace.best_fitness) for _, trace in outcomes),
-        )
-
-    return SearchPlan(tuple(searches), finish)
+    outcomes = yield searches
+    return ReconstructionSet(
+        reference=x_star,
+        reference_response=reference_response,
+        reconstructions=tuple(point for point, _ in outcomes),
+        fitnesses=tuple(float(trace.best_fitness) for _, trace in outcomes),
+    )
 
 
 def reconstruct(
@@ -446,6 +438,31 @@ def reconstruct(
     reconstructions to the reference.
     """
     return run_plans([reconstruct_plan(target, x_star, config)])[0]
+
+
+def encode_plans(
+    target: TargetHandle, references: Iterable[Stimulus], config: SearchConfig
+) -> list[Plan]:
+    """One ``reconstruct_plan`` per reference; reference ``i`` is seeded
+    with ``derive_int(config.seed, "encode", i)``."""
+    return [
+        reconstruct_plan(target, ref, config.scaled(seed=derive_int(config.seed, "encode", i)))
+        for i, ref in enumerate(references)
+    ]
+
+
+def cone_stage(
+    target: TargetHandle, x_hat: Stimulus, config: SearchConfig, with_subspace: bool
+) -> tuple[list[PathResult], dict[str, SubspaceSample]]:
+    """Both cone paths around ``x_hat`` and, with ``with_subspace``, both
+    subspace samples, run together: round k holds both paths' step k,
+    and the subspace runs join the first round."""
+    kinds = ("invariance", "selectivity")
+    plans = [path_plan(target, x_hat, config, kind) for kind in kinds]
+    if with_subspace:
+        plans += [subspace_plan(target, x_hat, config, kind) for kind in kinds]
+    results = run_plans(plans)
+    return results[:2], dict(zip(kinds, results[2:]))
 
 
 def random_walk_curve(

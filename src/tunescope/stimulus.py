@@ -25,7 +25,6 @@ __all__ = [
     "Stimulus",
     "StimulusSet",
     "project_sphere",
-    "project_cone",
     "project_cone_batch",
     "sample_pink_noise",
     "random_orthogonal_unit",
@@ -193,18 +192,6 @@ def project_cone_batch(
             residual[row] = substitute.values
             norms[row] = np.linalg.norm(substitute.values)
     return np.cos(delta) * axis + residual * (energy * np.sin(delta) / norms[:, None])
-
-
-def project_cone(x: Stimulus, x_hat: Stimulus, delta: float) -> Stimulus:
-    """Project one stimulus onto the cone at ``delta`` around ``x_hat``.
-
-    A batch of one for ``project_cone_batch``, with no fallback
-    direction.
-    """
-    if x.shape != x_hat.shape:
-        raise ValueError("stimulus and axis shapes differ")
-    out = project_cone_batch(x.values[None, :], x_hat, delta)[0]
-    return Stimulus(values=out, height=x.height, width=x.width, energy=x_hat.energy)
 
 
 def _radial_frequency(height: int, width: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,15 @@ from tunescope.bench import (
 )
 from tunescope.errors import DegenerateSplitError, ZeroVarianceError
 from tunescope.measures import path_potential_population, spectral_complexity
-from tunescope.search import SearchConfig, sphere_violation
+from tunescope.search import (
+    SearchConfig,
+    invariance_path,
+    optimal_stimulus,
+    selectivity_path,
+    sphere_violation,
+    subspace_sample,
+)
+from tunescope.solver import default_population_size
 from tunescope.seeds import derive_rng
 from tunescope.stats import multiple_r2, pearson, spearman
 from tunescope.stimulus import Stimulus, read_stimulus_csv
@@ -33,6 +42,7 @@ from tunescope.targets import (
     linear_neuron,
     sample_network_population,
     sthor_network,
+    unit_view,
 )
 
 MICRO = SearchConfig(
@@ -231,6 +241,51 @@ class TestCharacterizeUnit:
         assert report.insc is not None
         assert report.itsa is not None and report.stsa is not None
         assert set(artifacts["subspace"]) == {"invariance", "selectivity"}
+
+    def test_network_unit_shares_forward_calls_with_unchanged_bytes(self):
+        network = sthor_network(default_l1_spec(weight_seed=21))
+        rows = []
+
+        def recording_batch(matrix):
+            rows.append(len(matrix))
+            return network.batch(matrix)
+
+        unit = unit_view(replace(network, batch=recording_batch), 4)
+        config = MICRO.scaled(path_budget_per_dim=2, subspace_runs=3)
+        report, artifacts = characterize_unit(unit, config, task=small_task(), with_subspace=True)
+        protocol_rows = rows[:]
+
+        # the five procedures one by one
+        del rows[:]
+        optimal = optimal_stimulus(unit, config)
+        optimum_calls = len(rows)
+        x_hat = optimal.x_hat
+        paths = [invariance_path(unit, x_hat, config), selectivity_path(unit, x_hat, config)]
+        kinds = ("invariance", "selectivity")
+        samples = {kind: subspace_sample(unit, x_hat, config, kind=kind) for kind in kinds}
+
+        # the optimum runs alone; the cone stage forwards the same rows in
+        # fewer calls, more than one generation's rows per call
+        assert protocol_rows[:optimum_calls] == rows[:optimum_calls]
+        cone_rows, separate_rows = protocol_rows[optimum_calls:], rows[optimum_calls:]
+        assert sum(cone_rows) == sum(separate_rows) and len(cone_rows) < len(separate_rows)
+        assert sum(cone_rows) / len(cone_rows) > default_population_size(unit.size)
+
+        assert artifacts["optimal"].x_hat.values.tobytes() == x_hat.values.tobytes()
+        assert artifacts["optimal"].run_records == optimal.run_records
+        for path, expected in zip(artifacts["paths"], paths):
+            assert path.kind == expected.kind and path.fitnesses == expected.fitnesses
+            assert [p.values.tobytes() for p in path.points] == [
+                p.values.tobytes() for p in expected.points
+            ]
+        assert list(artifacts["subspace"]) == list(kinds)
+        for kind in kinds:
+            sample, expected = artifacts["subspace"][kind], samples[kind]
+            assert sample.fitnesses == expected.fitnesses
+            assert [c.values.tobytes() for c in sample.columns] == [
+                c.values.tobytes() for c in expected.columns
+            ]
+        assert report.provenance["optimum_fitness"] == optimal.fitness
 
 
 class TestCharacterizePopulation:

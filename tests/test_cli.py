@@ -27,6 +27,19 @@ CONVERGED_SEARCH = {
     "reconstruct_budget_per_dim": 2,
 }
 
+# search values no run can use; each is a config error
+UNUSABLE_SEARCH = [
+    {"deltas": []},
+    {"subspace_runs": 1},
+    {"optimal_runs": 0},
+    {"optimal_budget_per_dim": 0},
+    {"seed_candidates": 0},
+    {"path_budget_per_dim": 0},
+    {"reconstruct_runs": 0},
+    {"reconstruct_budget_per_dim": 0},
+]
+UNUSABLE_IDS = [f"{key}={value}" for bad in UNUSABLE_SEARCH for key, value in bad.items()]
+
 
 @pytest.fixture
 def micro_config(tmp_path):
@@ -175,6 +188,18 @@ class TestCharacterize:
         assert "outside (0, pi]" in error_payload(capsys)["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", UNUSABLE_SEARCH, ids=UNUSABLE_IDS)
+    def test_unusable_search_value_is_config_error(self, tmp_path, capsys, bad):
+        config = tmp_path / "search.json"
+        config.write_text(json.dumps(dict(MICRO_SEARCH, **bad)))
+        out = tmp_path / "char"
+        assert main(["characterize", "--target", "linear", "--shape", "4",
+                     "--seed", "3", "--config", str(config),
+                     "--out", str(out)]) == 1
+        error = error_payload(capsys)
+        assert error["type"] == "ValueError" and "least" in error["message"]
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path, capsys, micro_config):
         args = ["characterize", "--target", "linear", "--shape", "4",
                 "--seed", "3", "--config", micro_config, "--walks", "2"]
@@ -237,6 +262,16 @@ class TestEncodeAndMeasure:
         for i in range(2):
             assert (out / f"reference_{i:02d}.pgm").exists()
             assert (out / f"reconstruction_{i:02d}.csv").exists()
+
+    def test_no_reconstruction_runs_is_config_error(self, tmp_path, capsys, task_file):
+        config = tmp_path / "search.json"
+        config.write_text(json.dumps(dict(MICRO_SEARCH, reconstruct_runs=0)))
+        out = tmp_path / "enc"
+        assert main(["encode", "--target", "linear", "--task", task_file,
+                     "--references", "2", "--seed", "3",
+                     "--config", str(config), "--out", str(out)]) == 1
+        assert "reconstruct_runs" in error_payload(capsys)["message"]
+        assert not out.exists()
 
     def test_measure_population_protocol(self, tmp_path, capsys, micro_config,
                                          task_file):
@@ -314,6 +349,15 @@ class TestBench:
         assert main(["bench", "--config", self.write_config(tmp_path, blob),
                      "--out", str(store)]) == 1
         assert "outside (0, pi]" in error_payload(capsys)["message"]
+        assert not store.exists()
+
+    def test_single_subspace_run_in_study_config(self, tmp_path, capsys):
+        blob = study_blob()
+        blob["search"] = dict(MICRO_SEARCH, subspace_runs=1)
+        store = tmp_path / "store"
+        assert main(["bench", "--config", self.write_config(tmp_path, blob),
+                     "--out", str(store)]) == 1
+        assert "subspace_runs" in error_payload(capsys)["message"]
         assert not store.exists()
 
     def test_malformed_config_writes_nothing(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -7,12 +7,12 @@ from tunescope.measures import path_potential_unit
 from tunescope.search import (
     SearchConfig,
     cone_search_objective,
-    cone_searches,
     cone_violation,
     default_deltas,
     invariance_path,
     optimal_plan,
     optimal_stimulus,
+    path_plan,
     random_walk_curve,
     reconstruct,
     reconstruct_plan,
@@ -20,10 +20,11 @@ from tunescope.search import (
     selectivity_path,
     sphere_search_objective,
     sphere_violation,
+    subspace_plan,
     subspace_sample,
 )
 from tunescope.solver import default_population_size
-from tunescope.stimulus import Stimulus, project_cone, random_orthogonal_unit
+from tunescope.stimulus import Stimulus, project_cone_batch, random_orthogonal_unit
 from tunescope.targets import (
     TargetHandle,
     default_l1_spec,
@@ -125,10 +126,8 @@ class TestObjectives:
         objective = cone_search_objective(target, w, delta, rng)
         raw = rng.standard_normal(16)
         batch_row = objective.project_batch(raw[None, :])[0]
-        scalar = project_cone(
-            Stimulus.from_values(raw, 4, 4), w, delta
-        )
-        assert np.allclose(batch_row, scalar.values, atol=1e-12)
+        scalar = project_cone_batch(raw[None, :], w, delta)[0]
+        assert np.allclose(batch_row, scalar, atol=1e-12)
 
 
 class TestOptimalStimulus:
@@ -231,8 +230,8 @@ class TestPaths:
         assert len(starts) == len(result.deltas)
         for k in range(1, len(result.deltas)):
             previous = result.points[k - 1]
-            expected = project_cone(previous, x_hat, result.deltas[k])
-            assert np.allclose(starts[k], expected.values, atol=1e-9)
+            expected = project_cone_batch(previous.values[None, :], x_hat, result.deltas[k])[0]
+            assert np.allclose(starts[k], expected, atol=1e-9)
 
     def test_deterministic_per_seed(self):
         target, w = make_linear()
@@ -388,18 +387,34 @@ def same_points(first, second):
     return [p.values.tobytes() for p in first] == [p.values.tobytes() for p in second]
 
 
+def as_bytes(value):
+    """A procedure result with every array and stimulus as its bytes."""
+    if isinstance(value, Stimulus):
+        return value.values.tobytes()
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if is_dataclass(value):
+        return tuple(as_bytes(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(as_bytes(item) for item in value)
+    return value
+
+
 class TestLockstepProcedures:
     """Procedures that share one network give the bytes of separate runs."""
 
-    def test_cone_searches_match_separate_procedures(self):
+    def test_path_and_subspace_plans_match_separate_procedures(self):
         rows = []
         network = recording_network(rows)
         reference = NETWORK.evaluate(unit_stim(np.arange(1.0, 122.0), 11, 11))
         target = match_fitness(network, reference)
         x_hat = optimal_stimulus(target, LOCKSTEP).x_hat
         both = ("invariance", "selectivity")
+        plans = [path_plan(target, x_hat, LOCKSTEP, kind) for kind in both]
+        plans += [subspace_plan(target, x_hat, LOCKSTEP, kind) for kind in both]
         rows.clear()
-        paths, samples = cone_searches(target, x_hat, LOCKSTEP, both, both)
+        results = run_plans(plans)
+        paths, samples = results[:2], dict(zip(both, results[2:]))
         lam = default_population_size(NETWORK.size)
         assert max(rows) == (NETWORK.chunk // lam) * lam
         separate = [invariance_path(target, x_hat, LOCKSTEP), selectivity_path(target, x_hat, LOCKSTEP)]
@@ -440,3 +455,27 @@ class TestLockstepProcedures:
         assert same_points(recon.reconstructions, expected.reconstructions)
         assert recon.fitnesses == expected.fitnesses
         assert recon.reference_response.tobytes() == expected.reference_response.tobytes()
+
+    def test_plans_with_different_round_counts_run_together(self):
+        rows = []
+        network = recording_network(rows)
+        target = match_fitness(network, NETWORK.evaluate(unit_stim(np.arange(1.0, 122.0), 11, 11)))
+        x_hat = optimal_stimulus(target, LOCKSTEP).x_hat
+
+        def plans():
+            # two two-round paths beside two one-round plans
+            return [
+                path_plan(target, x_hat, LOCKSTEP, "invariance"),
+                path_plan(target, x_hat, LOCKSTEP, "selectivity", run_index=1),
+                subspace_plan(target, x_hat, LOCKSTEP, "invariance"),
+                optimal_plan(unit_view(network, 5), LOCKSTEP.scaled(seed=8)),
+            ]
+
+        rows.clear()
+        together = run_plans(plans())
+        lam = default_population_size(NETWORK.size)
+        assert max(rows) == (NETWORK.chunk // lam) * lam <= NETWORK.chunk
+        solo = [run_plans([plan])[0] for plan in plans()]
+        assert [type(result) for result in together] == [type(result) for result in solo]
+        for result, expected in zip(together, solo):
+            assert as_bytes(result) == as_bytes(expected)

@@ -16,7 +16,6 @@ from tunescope.stimulus import (
     StimulusSet,
     angular_distance,
     average_energy,
-    project_cone,
     project_cone_batch,
     project_sphere,
     random_orthogonal_unit,
@@ -68,28 +67,28 @@ class TestProjectCone:
     def test_orthogonal_input_at_right_angle_is_identity(self):
         x_hat = unit_stimulus([1, 0, 0, 0], 2, 2)
         x = unit_stimulus([0, 1, 0, 0], 2, 2)
-        out = project_cone(x, x_hat, np.pi / 2)
-        np.testing.assert_allclose(out.values, x.values, rtol=0, atol=1e-12)
+        out = project_cone_batch(x.values[None, :], x_hat, np.pi / 2)[0]
+        np.testing.assert_allclose(out, x.values, rtol=0, atol=1e-12)
 
     def test_inner_product_pinned_by_construction(self):
         rng = np.random.default_rng(3)
         x_hat = project_sphere(rng.standard_normal(16), 1.0, (4, 4))
         x = project_sphere(x_hat.values + 0.05 * rng.standard_normal(16), 1.0, (4, 4))
         delta = 0.1 * np.pi
-        out = project_cone(x, x_hat, delta)
-        assert abs(float(out.values @ x_hat.values) - math.cos(delta)) <= 1e-9
+        out = project_cone_batch(x.values[None, :], x_hat, delta)[0]
+        assert abs(float(out @ x_hat.values) - math.cos(delta)) <= 1e-9
 
     def test_angular_distance_recovered(self):
         rng = np.random.default_rng(11)
         x_hat = project_sphere(rng.standard_normal(121), 1.0, (11, 11))
         x = project_sphere(rng.standard_normal(121), 1.0, (11, 11))
-        out = project_cone(x, x_hat, 0.3 * np.pi)
+        out = x_hat.replace_values(project_cone_batch(x.values[None, :], x_hat, 0.3 * np.pi)[0])
         assert abs(angular_distance(out, x_hat) - 0.3 * np.pi) <= 1e-9
 
     def test_parallel_point_degenerate(self):
         x_hat = unit_stimulus([1, 0, 0, 0], 2, 2)
         with pytest.raises(DegenerateDirectionError):
-            project_cone(x_hat, x_hat, 0.2)
+            project_cone_batch(x_hat.values[None, :], x_hat, 0.2)
         raw = np.array([[0.0, 1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
         with pytest.raises(DegenerateDirectionError):
             project_cone_batch(raw, x_hat, 0.2)
@@ -99,7 +98,7 @@ class TestProjectCone:
         x_hat = unit_stimulus([1, 0, 0, 0], 2, 2)
         x = unit_stimulus([0, 1, 0, 0], 2, 2)
         with pytest.raises(ValueError):
-            project_cone(x, x_hat, delta)
+            project_cone_batch(x.values[None, :], x_hat, delta)
         with pytest.raises(ValueError):
             project_cone_batch(x.values[None, :], x_hat, delta, np.random.default_rng(0))
 
@@ -113,9 +112,9 @@ class TestProjectCone:
         rng = np.random.default_rng(seed)
         x_hat = project_sphere(rng.standard_normal(24), energy, (4, 6))
         x = project_sphere(rng.standard_normal(24), energy, (4, 6))
-        out = project_cone(x, x_hat, delta)
-        assert abs(np.linalg.norm(out.values) - energy) <= 1e-9 * max(1.0, energy)
-        cos_obs = float(out.values @ x_hat.values) / energy**2
+        out = project_cone_batch(x.values[None, :], x_hat, delta)[0]
+        assert abs(np.linalg.norm(out) - energy) <= 1e-9 * max(1.0, energy)
+        cos_obs = float(out @ x_hat.values) / energy**2
         assert abs(cos_obs - math.cos(delta)) <= 1e-9
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tunescope import targets as targets_module
 from tunescope.errors import GeometryError
-from tunescope.stimulus import Stimulus, project_cone, project_sphere
+from tunescope.stimulus import Stimulus, project_cone_batch, project_sphere
 from tunescope.targets import (
     HyperRanges,
     LevelSpec,
@@ -43,7 +43,7 @@ class TestLinearNeuron:
         target = linear_neuron(w)
         x = project_sphere(rng.standard_normal(16), 1.0, (4, 4))
         for delta in (0.1 * np.pi, 0.3 * np.pi, 0.5 * np.pi):
-            on_cone = project_cone(x, w, delta)
+            on_cone = w.replace_values(project_cone_batch(x.values[None, :], w, delta)[0])
             assert target.evaluate(on_cone)[0] == pytest.approx(np.cos(delta), abs=1e-9)
 
     def test_antipode_response(self):
