@@ -45,7 +45,7 @@ from .stimulus import (
     write_stimulus_csv,
     write_stimulus_pgm,
 )
-from .targets import TargetHandle, match_fitness, spec_to_json, sthor_network, unit_view
+from .targets import TargetHandle, match_fitness, spec_to_json, unit_view
 
 __all__ = [
     "TaskSpec",
@@ -407,6 +407,10 @@ class BenchConfig:
     resume: bool = True
     workers: int = 1
 
+    def __post_init__(self) -> None:
+        if self.unit_sample < 1:
+            raise ValueError(f"unit_sample is {self.unit_sample}; it must be at least 1")
+
     def scaled(self, **overrides) -> "BenchConfig":
         return replace(self, **overrides)
 
@@ -533,23 +537,6 @@ def _study_network(
     return performance, report
 
 
-def _rebuild_and_study(payload: dict) -> tuple[int, float, MeasureReport]:
-    """Worker-process entry: networks are rebuilt from spec + kernels."""
-    target = sthor_network(payload["spec"], kernels=payload["kernels"])
-    net_dir = None if payload["net_dir"] is None else Path(payload["net_dir"])
-    performance, report = _study_network(
-        target,
-        payload["task"],
-        payload["references"],
-        payload["search_config"],
-        payload["n_pairs"],
-        payload["split_seed"],
-        payload["unit_sample"],
-        net_dir,
-    )
-    return payload["index"], performance, report
-
-
 def _sha256(*arrays) -> str:
     digest = hashlib.sha256()
     for array in arrays:
@@ -558,7 +545,11 @@ def _sha256(*arrays) -> str:
 
 
 def _network_fingerprint(handle: TargetHandle):
-    """Spec and kernel digest of a built cascade; other targets give their name."""
+    """Spec and kernel digest of a built cascade.  A view of a network
+    gives its name and its network's fingerprint; other targets give
+    their name."""
+    if handle.network is not None:
+        return {"view": handle.name, "network": _network_fingerprint(handle.network)}
     meta = handle.meta or {}
     if "spec" not in meta:
         return handle.name
@@ -636,6 +627,10 @@ def run_study(
     of restarting.  The correlation stage needs ``MIN_NETWORKS_FOR_TABLE``
     networks and is skipped below that (smoke runs still emit the measure
     table and ``summary.json``).
+
+    With ``workers`` above 1, each pending network's handle is pickled to
+    a worker process, which studies that very handle; every built-in
+    handle pickles, and a custom handle that does not fails there.
     """
     if not population:
         raise ValueError("empty population")
@@ -656,7 +651,8 @@ def run_study(
     split_seed = derive_int(config.seed, "pairs")
     results: dict[int, tuple[float, MeasureReport]] = {}
     pending = []
-    for index in range(len(population)):
+    jobs = []
+    for index, target in enumerate(population):
         net_dir = None if store is None else _network_dir(store, index)
         if net_dir is not None and config.resume:
             loaded = _load_network(net_dir)
@@ -664,55 +660,17 @@ def run_study(
                 results[index] = loaded
                 continue
         pending.append(index)
-
-    def job_args(index: int):
-        return (
-            population[index],
-            task,
-            references,
-            config.search.scaled(seed=derive_int(config.seed, "network", index)),
-            config.n_pairs,
-            split_seed,
-            config.unit_sample,
-            None if store is None else _network_dir(store, index),
+        search_config = config.search.scaled(seed=derive_int(config.seed, "network", index))
+        jobs.append(
+            (target, task, references, search_config, config.n_pairs, split_seed,
+             config.unit_sample, net_dir)
         )
-
-    local = pending
-    if config.workers > 1:
-        # closures inside TargetHandle do not pickle; ship spec + kernels
-        # and rebuild in the worker when the handle carries them
-        portable = [
-            i
-            for i in pending
-            if population[i].meta and {"spec", "kernels"} <= set(population[i].meta)
-        ]
-        local = [i for i in pending if i not in set(portable)]
-        if portable:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                payloads = []
-                for i in portable:
-                    args = job_args(i)
-                    search_config, net_dir = args[3], args[7]
-                    payloads.append(
-                        {
-                            "index": i,
-                            "spec": population[i].meta["spec"],
-                            "kernels": population[i].meta["kernels"],
-                            "task": task,
-                            "references": references,
-                            "search_config": search_config,
-                            "n_pairs": config.n_pairs,
-                            "split_seed": split_seed,
-                            "unit_sample": config.unit_sample,
-                            "net_dir": None if net_dir is None else str(net_dir),
-                        }
-                    )
-                for index, performance, report in pool.map(_rebuild_and_study, payloads):
-                    results[index] = (performance, report)
-
-    for index in local:
-        performance, report = _study_network(*job_args(index))
-        results[index] = (performance, report)
+    if config.workers > 1 and jobs:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            outcomes = list(pool.map(_study_network, *zip(*jobs)))
+    else:
+        outcomes = [_study_network(*job) for job in jobs]
+    results.update(zip(pending, outcomes))
 
     performances = tuple(results[i][0] for i in range(len(population)))
     reports = tuple(results[i][1] for i in range(len(population)))

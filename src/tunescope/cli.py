@@ -282,9 +282,16 @@ def _resolve_target_command(args, subcommand: str) -> RunConfig:
     if subcommand == "measure" and population_protocol and task is None:
         raise ValueError("population-level measure needs --task")
     options = {}
-    for key in ("walks", "references", "unit_sample"):
-        if hasattr(args, key):
-            options[key] = getattr(args, key)
+    if hasattr(args, "walks"):
+        options["walks"] = args.walks
+    if subcommand == "measure":
+        if args.unit_sample < 1:
+            raise ValueError(f"--unit-sample is {args.unit_sample}; it must be at least 1")
+        options["unit_sample"] = args.unit_sample
+    if subcommand == "encode" or (subcommand == "measure" and population_protocol):
+        options["references"] = sample_references(
+            task, args.references, seed=derive_int(seed, "references")
+        )
     return RunConfig(
         subcommand=subcommand,
         out=Path(args.out),
@@ -493,9 +500,7 @@ def cmd_subspace(run: RunConfig) -> None:
 
 
 def cmd_encode(run: RunConfig) -> None:
-    references = sample_references(
-        run.task, run.options["references"], seed=derive_int(run.seed, "references")
-    )
+    references = run.options["references"]
     recon_sets = run_plans(encode_plans(run.target, references, run.search))
     run.out.mkdir(parents=True, exist_ok=True)
     per_reference = []
@@ -535,11 +540,8 @@ def cmd_measure(run: RunConfig) -> None:
         )
         x_hat = artifacts["optimal"].x_hat
     else:
-        references = sample_references(
-            run.task, run.options["references"], seed=derive_int(run.seed, "references")
-        )
         report, artifacts = characterize_population(
-            run.target, run.task, references, run.search,
+            run.target, run.task, run.options["references"], run.search,
             unit_sample=run.options["unit_sample"],
         )
         x_hat = artifacts["x_hat"]

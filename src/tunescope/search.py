@@ -32,7 +32,6 @@ from .solver import (
     minimize,
     run_lockstep,
     seeded_init,
-    sphere_objective,
 )
 from .stimulus import Stimulus, angular_distance, project_cone_batch, random_orthogonal_unit
 from .targets import TargetHandle, match_fitness
@@ -158,19 +157,14 @@ class ReconstructionSet:
 # projection-composed objectives
 
 
-def _shared_forward(target: TargetHandle) -> dict:
-    """The objective fields through which searches on wrappers of one
-    network share its forward calls; none for a target that wraps none."""
-    if target.network is None:
-        return {}
-    readout = target.readout
-    return {"network": target.network, "readout": lambda responses: readout(responses)[:, 0]}
-
-
 def sphere_search_objective(target: TargetHandle, energy: float) -> ProjectedObjective:
     """Scalar target constrained to the energy sphere."""
-    objective = sphere_objective(target.scalar_batch, (target.height, target.width), energy)
-    return replace(objective, **_shared_forward(target))
+
+    def project(raw: np.ndarray) -> np.ndarray:
+        norms = np.linalg.norm(raw, axis=1, keepdims=True)
+        return raw * (energy / norms)
+
+    return ProjectedObjective(target=target, energy=energy, project_batch=project)
 
 
 def cone_search_objective(
@@ -185,12 +179,9 @@ def cone_search_objective(
     rows get a random orthogonal direction from ``fallback_rng``.
     """
     return ProjectedObjective(
-        height=x_hat.height,
-        width=x_hat.width,
+        target=target,
         energy=x_hat.energy,
         project_batch=lambda raw: project_cone_batch(raw, x_hat, delta, fallback_rng),
-        fitness_batch=target.scalar_batch,
-        **_shared_forward(target),
     )
 
 

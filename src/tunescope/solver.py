@@ -40,7 +40,6 @@ __all__ = [
     "TerminationReason",
     "ProjectedObjective",
     "Search",
-    "sphere_objective",
     "default_population_size",
     "lockstep_groups",
     "run_lockstep",
@@ -109,53 +108,28 @@ class SearchTrace:
 
 @dataclass(frozen=True)
 class ProjectedObjective:
-    """A black-box fitness with its constraint chain attached.
+    """A scalar target with its constraint chain attached.
 
-    ``project_batch`` maps raw sample rows onto the feasible manifold,
-    ``fitness_batch`` scores feasible rows.  The solver never sees an
-    unprojected point's fitness.
+    ``project_batch`` maps raw sample rows onto the feasible manifold of
+    stimuli of norm ``energy``, and ``target`` scores feasible rows.
+    The solver never sees an unprojected point's fitness.
 
-    An objective that reads a shared network names it as ``network``,
-    with a ``readout`` from that network's responses to fitness values:
-    ``fitness_batch`` is then the readout of ``network.batch``.
-    Searches whose objectives name one network can score a generation
-    in one forward call.
+    When ``target`` wraps a network (``target.network``), searches whose
+    targets wrap one network score a generation in one forward call of
+    it, each through its own ``target.readout``.
     """
 
-    height: int
-    width: int
+    target: TargetHandle
     energy: float
     project_batch: Callable[[np.ndarray], np.ndarray]
-    fitness_batch: Callable[[np.ndarray], np.ndarray]
-    network: TargetHandle | None = None
-    readout: Callable[[np.ndarray], np.ndarray] | None = None
 
     def evaluate_batch(self, raw: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fitness_batch(self.project_batch(raw)), dtype=np.float64)
+        return np.asarray(self.target.scalar_batch(self.project_batch(raw)), dtype=np.float64)
 
     def as_stimulus(self, raw: np.ndarray) -> Stimulus:
         feasible = self.project_batch(np.asarray(raw, dtype=np.float64)[None, :])[0]
-        return Stimulus(values=feasible, height=self.height, width=self.width, energy=self.energy)
-
-
-def sphere_objective(
-    fitness_batch: Callable[[np.ndarray], np.ndarray],
-    shape: tuple[int, int],
-    energy: float = 1.0,
-) -> ProjectedObjective:
-    """Objective constrained to the energy sphere only."""
-
-    def project(raw: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        return raw * (energy / norms)
-
-    return ProjectedObjective(
-        height=shape[0],
-        width=shape[1],
-        energy=energy,
-        project_batch=project,
-        fitness_batch=fitness_batch,
-    )
+        height, width = self.target.input_shape
+        return Stimulus(values=feasible, height=height, width=width, energy=self.energy)
 
 
 class _Strategy:
@@ -335,13 +309,13 @@ class _Run:
 
 def _fitness(runs: list[_Run], feasible: list[np.ndarray]) -> list[np.ndarray]:
     """Each run's fitness of its feasible rows, in one call for all of them."""
-    first = runs[0].search.objective
+    first = runs[0].search.objective.target
     if first.network is None:
-        return [first.fitness_batch(feasible[0])]
+        return [first.scalar_batch(feasible[0])]
     responses = first.network.batch(np.concatenate(feasible))
     ends = np.cumsum([len(rows) for rows in feasible])
     return [
-        run.search.objective.readout(responses[end - len(rows) : end])
+        run.search.objective.target.readout(responses[end - len(rows) : end])[:, 0]
         for run, rows, end in zip(runs, feasible, ends)
     ]
 
@@ -357,13 +331,13 @@ def lockstep_groups(searches: Sequence[Search]) -> list[list[Search]]:
     groups: list[list[Search]] = []
     rows = 0
     for search in searches:
-        network = search.objective.network
+        network = search.objective.target.network
         lam = search.config.resolved_population_size(search.x0.size)
         joins = (
             groups
             and network is not None
             and network.chunk is not None
-            and groups[-1][0].objective.network is network
+            and groups[-1][0].objective.target.network is network
             and rows + lam <= network.chunk
         )
         if joins:
@@ -428,7 +402,7 @@ def seeded_init(
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
     candidates = sample_pink_noise(
-        objective.height, objective.width, alpha_set, objective.energy, rng, count=n_candidates
+        *objective.target.input_shape, alpha_set, objective.energy, rng, count=n_candidates
     )
     fitness = objective.evaluate_batch(candidates)
     if not np.all(np.isfinite(fitness)):

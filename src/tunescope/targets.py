@@ -8,14 +8,18 @@ multi-unit target into a scalar landscape (single-unit view, response
 matching).
 
 Handles are immutable after construction: ``batch`` is a pure function
-of its input, so repeated evaluation is bitwise identical and handles
-are safe to share across worker processes.
+of its input, so repeated evaluation is bitwise identical.  Every
+built-in handle is plain data: its ``batch`` and ``readout`` are
+module-level functions bound with ``functools.partial``, so a handle
+pickles, and a worker process that unpickles one evaluates the very
+same function.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -56,10 +60,10 @@ class TargetHandle:
     """An opaque stimulus -> response function.
 
     ``batch`` maps an (m, N) matrix of flattened stimuli to an (m, R)
-    response matrix.  ``meta`` carries construction details (spec,
-    kernels) for serialization; nothing downstream depends on it.
-    ``chunk``, when stated, is the number of rows ``batch`` forwards per
-    call.
+    response matrix.  ``meta`` carries a cascade's construction details
+    (spec, kernels) for weight files and store fingerprints; a wrapper
+    carries none.  ``chunk``, when stated, is the number of rows
+    ``batch`` forwards per call.
 
     A wrapper of another handle records it as ``network``, and maps
     that handle's responses to its own with ``readout``; its ``batch``
@@ -100,16 +104,20 @@ class TargetHandle:
 # oracle neurons
 
 
+def _linear_batch(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    return (matrix @ weights)[:, None]
+
+
 def linear_neuron(w: Stimulus) -> TargetHandle:
     """Inner-product neuron; ``w`` must be unit-norm."""
     if abs(w.energy - 1.0) > 1e-9:
         raise ValueError(f"template norm {w.energy} != 1")
-    weights = w.values
+    return TargetHandle(w.height, w.width, 1, partial(_linear_batch, w.values), name="linear")
 
-    def batch(matrix: np.ndarray) -> np.ndarray:
-        return (matrix @ weights)[:, None]
 
-    return TargetHandle(w.height, w.width, 1, batch, name="linear")
+def _quadratic_batch(q: np.ndarray, l: np.ndarray, c: float, matrix: np.ndarray) -> np.ndarray:
+    quad = 0.5 * np.einsum("ij,jk,ik->i", matrix, q, matrix)
+    return (quad + matrix @ l + c)[:, None]
 
 
 def quadratic_neuron(
@@ -125,12 +133,7 @@ def quadratic_neuron(
     if shape[0] * shape[1] != l.size:
         raise ValueError("shape does not match dimension")
     q = (q + q.T) / 2
-
-    def batch(matrix: np.ndarray) -> np.ndarray:
-        quad = 0.5 * np.einsum("ij,jk,ik->i", matrix, q, matrix)
-        return (quad + matrix @ l + c)[:, None]
-
-    return TargetHandle(shape[0], shape[1], 1, batch, name="quadratic")
+    return TargetHandle(shape[0], shape[1], 1, partial(_quadratic_batch, q, l, c), name="quadratic")
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +341,33 @@ def _apply_activation(x: np.ndarray, level: LevelSpec) -> np.ndarray:
     return x
 
 
+def _forward_chunk(stages: tuple, side: int, matrix: np.ndarray) -> np.ndarray:
+    """One pass through the cascade; ``stages`` holds each level's spec,
+    filter matrix and normalization geometry (None when disabled)."""
+    x = matrix.reshape(-1, 1, side, side)
+    for level, w_mat, geometry in stages:
+        x = _conv_valid(x, w_mat, level.kernel_size)
+        x = _apply_activation(x, level)
+        x = _pool_power_mean(x, level.pool_size, level.pool_stride, level.pool_exponent)
+        if geometry is not None:
+            x = _divisive_normalize(x, geometry, level.norm_strength, level.norm_threshold)
+    center_h = x.shape[2] // 2
+    center_w = x.shape[3] // 2
+    return x[:, :, center_h, center_w]
+
+
+def _cascade_batch(stages: tuple, side: int, chunk: int, matrix: np.ndarray) -> np.ndarray:
+    """The cascade's forward pass over ``matrix``, ``chunk`` rows per pass."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.shape[0] <= chunk:
+        return _forward_chunk(stages, side, matrix)
+    parts = [
+        _forward_chunk(stages, side, matrix[start : start + chunk])
+        for start in range(0, matrix.shape[0], chunk)
+    ]
+    return np.concatenate(parts, axis=0)
+
+
 def sthor_network(spec: SthorSpec, kernels: list[np.ndarray] | None = None) -> TargetHandle:
     """Build the cascade; ``kernels`` overrides the random draw verbatim.
 
@@ -362,36 +392,13 @@ def sthor_network(spec: SthorSpec, kernels: list[np.ndarray] | None = None) -> T
     ]
     for w in w_mats:
         w.setflags(write=False)
-
-    def forward_chunk(matrix: np.ndarray) -> np.ndarray:
-        x = matrix.reshape(-1, 1, side, side)
-        for level, w_mat, geometry in zip(spec.levels, w_mats, norm_geometries):
-            x = _conv_valid(x, w_mat, level.kernel_size)
-            x = _apply_activation(x, level)
-            x = _pool_power_mean(x, level.pool_size, level.pool_stride, level.pool_exponent)
-            if geometry is not None:
-                x = _divisive_normalize(x, geometry, level.norm_strength, level.norm_threshold)
-        center_h = x.shape[2] // 2
-        center_w = x.shape[3] // 2
-        return x[:, :, center_h, center_w]
-
     chunk = _FORWARD_CHUNK[len(spec.levels)]
-
-    def batch(matrix: np.ndarray) -> np.ndarray:
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.shape[0] <= chunk:
-            return forward_chunk(matrix)
-        parts = [
-            forward_chunk(matrix[start : start + chunk])
-            for start in range(0, matrix.shape[0], chunk)
-        ]
-        return np.concatenate(parts, axis=0)
-
+    stages = tuple(zip(spec.levels, w_mats, norm_geometries))
     return TargetHandle(
         side,
         side,
         spec.top_layer_neurons,
-        batch,
+        partial(_cascade_batch, stages, side, chunk),
         name=f"sthor-l{len(spec.levels)}",
         meta={"spec": spec, "kernels": kernels},
         chunk=chunk,
@@ -402,32 +409,40 @@ def sthor_network(spec: SthorSpec, kernels: list[np.ndarray] | None = None) -> T
 # wrappers
 
 
+def _read_through(
+    network: TargetHandle, readout: Callable[[np.ndarray], np.ndarray], matrix: np.ndarray
+) -> np.ndarray:
+    return readout(network.batch(matrix))
+
+
 def _readout_view(
-    target: TargetHandle, readout: Callable[[np.ndarray], np.ndarray], name: str, meta=None
+    target: TargetHandle, readout: Callable[[np.ndarray], np.ndarray], name: str
 ) -> TargetHandle:
     """A scalar handle that reads ``target`` through ``readout``."""
     return TargetHandle(
         target.height,
         target.width,
         1,
-        lambda matrix: readout(target.batch(matrix)),
+        partial(_read_through, target, readout),
         name=name,
-        meta=meta,
         network=target,
         readout=readout,
     )
+
+
+def _unit_column(index: int, responses: np.ndarray) -> np.ndarray:
+    return responses[:, index : index + 1]
 
 
 def unit_view(target: TargetHandle, index: int) -> TargetHandle:
     """Scalar view of one output unit."""
     if not 0 <= index < target.response_dim:
         raise IndexError(f"unit {index} out of range 0..{target.response_dim - 1}")
-    return _readout_view(
-        target,
-        lambda responses: responses[:, index : index + 1],
-        f"{target.name}[{index}]",
-        meta=target.meta,
-    )
+    return _readout_view(target, partial(_unit_column, index), f"{target.name}[{index}]")
+
+
+def _match_closeness(reference: np.ndarray, responses: np.ndarray) -> np.ndarray:
+    return np.exp(-np.linalg.norm(responses - reference, axis=1))[:, None]
 
 
 def match_fitness(target: TargetHandle, reference_response: np.ndarray) -> TargetHandle:
@@ -437,11 +452,7 @@ def match_fitness(target: TargetHandle, reference_response: np.ndarray) -> Targe
         raise ValueError(
             f"reference length {reference.size} != response dim {target.response_dim}"
         )
-
-    def readout(responses: np.ndarray) -> np.ndarray:
-        return np.exp(-np.linalg.norm(responses - reference, axis=1))[:, None]
-
-    return _readout_view(target, readout, f"match({target.name})")
+    return _readout_view(target, partial(_match_closeness, reference), f"match({target.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from tunescope.bench import (
     FIG9_ROWS,
     MeasureReport,
     TaskSpec,
+    _study_fingerprint,
     characterize_population,
     characterize_unit,
     choose_distance_threshold,
@@ -580,3 +581,34 @@ class TestRunStudy:
         assert (sequential / "measures.csv").read_bytes() == (
             parallel / "measures.csv"
         ).read_bytes()
+
+    def test_worker_pool_studies_the_views_it_is_sent(self, tmp_path):
+        network = sthor_network(default_l1_spec(weight_seed=34))
+        views = [unit_view(network, 3), unit_view(network, 5)]
+        task = small_task()
+        refs = sample_references(task, 2, seed=9)
+        config = BenchConfig(seed=1, search=MICRO, n_pairs=60, unit_sample=1)
+        stores = []
+        for workers in (1, 2):
+            store = tmp_path / f"workers{workers}"
+            config = config.scaled(store_dir=str(store), workers=workers)
+            result = run_study(views, task, refs, config)
+            assert [report.provenance["unit_indices"] for report in result.reports] == [[0], [0]]
+            files = sorted(path for path in store.rglob("*") if path.is_file())
+            stores.append({path.relative_to(store): path.read_bytes() for path in files})
+        assert len(stores[0]) > 3
+        assert stores[0] == stores[1]
+
+    def test_views_of_two_units_fingerprint_apart(self):
+        network = sthor_network(default_l1_spec(weight_seed=34))
+        task = small_task()
+        refs = sample_references(task, 2, seed=9)
+        config = BenchConfig(seed=1, search=MICRO)
+
+        def fingerprint(handle):
+            return _study_fingerprint([handle], task, refs, config)["networks"][0]
+
+        cascade = fingerprint(network)
+        assert set(cascade) == {"spec", "kernels_sha256"}
+        assert fingerprint(unit_view(network, 3)) == {"view": "sthor-l1[3]", "network": cascade}
+        assert fingerprint(unit_view(network, 3)) != fingerprint(unit_view(network, 5))

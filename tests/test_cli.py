@@ -1,9 +1,15 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tunescope
 from tunescope.cli import main
 from tunescope.measures import MeasureReport
 
@@ -286,6 +292,31 @@ class TestEncodeAndMeasure:
             assert report[name] is not None, name
         assert report["provenance"]["level"] == "population"
 
+    def test_unit_sample_below_one_is_config_error(self, tmp_path, capsys, micro_config,
+                                                   task_file):
+        net = tmp_path / "net"
+        assert main(["gen-net", "--seed", "5", "--out", str(net)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "mea"
+        assert main(["measure", "--target", str(net), "--task", task_file,
+                     "--references", "2", "--unit-sample", "0", "--seed", "3",
+                     "--config", micro_config, "--out", str(out)]) == 1
+        assert "--unit-sample" in error_payload(capsys)["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, count", [("encode", 0), ("encode", 99), ("measure", 0)])
+    def test_reference_count_outside_task_is_config_error(self, tmp_path, capsys, micro_config,
+                                                          task_file, command, count):
+        net = tmp_path / "net"
+        assert main(["gen-net", "--seed", "5", "--out", str(net)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, "--target", str(net), "--task", task_file,
+                     "--references", str(count), "--seed", "3",
+                     "--config", micro_config, "--out", str(out)]) == 1
+        assert f"cannot draw {count} references" in error_payload(capsys)["message"]
+        assert not out.exists()
+
     def test_measure_population_needs_task(self, tmp_path, capsys,
                                            micro_config):
         net = tmp_path / "net"
@@ -360,6 +391,14 @@ class TestBench:
         assert "subspace_runs" in error_payload(capsys)["message"]
         assert not store.exists()
 
+    def test_unit_sample_below_one_in_study_config(self, tmp_path, capsys):
+        blob = dict(study_blob(), unit_sample=0)
+        store = tmp_path / "store"
+        assert main(["bench", "--config", self.write_config(tmp_path, blob),
+                     "--out", str(store)]) == 1
+        assert "unit_sample" in error_payload(capsys)["message"]
+        assert not store.exists()
+
     def test_malformed_config_writes_nothing(self, tmp_path, capsys):
         config = tmp_path / "study.json"
         config.write_text('{"n_networks": ')
@@ -423,6 +462,59 @@ class TestBench:
         config = self.write_config(tmp_path, blob)
         assert main(["bench", "--config", config,
                      "--out", str(tmp_path / "store")]) == 1
+
+
+def store_files(store: Path) -> dict:
+    files = sorted(path for path in store.rglob("*") if path.is_file())
+    return {path.relative_to(store): path.read_bytes() for path in files}
+
+
+# about half a second per network on one core, so a study of six runs
+# long enough to be killed between its second and its last report
+KILL_STUDY = dict(
+    study_blob(n_networks=6),
+    search=dict(MICRO_SEARCH, optimal_budget_per_dim=20, path_budget_per_dim=4,
+                reconstruct_budget_per_dim=10),
+)
+KILL_AFTER_REPORTS = 2
+
+
+@pytest.fixture(scope="module")
+def clean_kill_study(tmp_path_factory):
+    """The study config and every file of its uninterrupted store."""
+    root = tmp_path_factory.mktemp("kill_study")
+    config = root / "study.json"
+    config.write_text(json.dumps(KILL_STUDY))
+    store = root / "clean"
+    assert main(["bench", "--config", str(config), "--out", str(store), "--workers", "1"]) == 0
+    return config, store_files(store)
+
+
+class TestKillAndResume:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_killed_study_resumes_to_clean_bytes(self, tmp_path, clean_kill_study, workers):
+        config, clean = clean_kill_study
+        store = tmp_path / "store"
+        command = ["bench", "--config", str(config), "--out", str(store), "--workers", workers]
+        src = str(Path(tunescope.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        # its own session, so one signal to its process group kills the pool too
+        study = subprocess.Popen([sys.executable, "-m", "tunescope", *command], env=env,
+                                 stdout=subprocess.DEVNULL, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 300
+            while len(list(store.glob("network_*/report.json"))) < KILL_AFTER_REPORTS:
+                assert study.poll() is None, "the study ended before it could be killed"
+                assert time.monotonic() < deadline, "no reports before the deadline"
+                time.sleep(0.01)
+        finally:
+            if study.poll() is None:
+                os.killpg(study.pid, signal.SIGKILL)
+            study.wait(timeout=60)
+        assert study.returncode == -signal.SIGKILL
+        assert len(list(store.glob("network_*/report.json"))) < KILL_STUDY["n_networks"]
+        assert main([*command, "--resume"]) == 0
+        assert store_files(store) == clean
 
 
 class TestReport:

@@ -20,10 +20,10 @@ from tunescope.solver import (
     minimize,
     run_lockstep,
     seeded_init,
-    sphere_objective,
 )
 from tunescope.stimulus import project_sphere, sample_pink_noise
 from tunescope.targets import (
+    TargetHandle,
     default_l1_spec,
     default_l2_spec,
     linear_neuron,
@@ -31,6 +31,12 @@ from tunescope.targets import (
     sthor_network,
     unit_view,
 )
+
+
+def sphere_objective(fitness_batch, shape, energy=1.0):
+    """A sphere objective on the scalar target that ``fitness_batch`` scores."""
+    target = TargetHandle(shape[0], shape[1], 1, lambda x: np.asarray(fitness_batch(x))[:, None])
+    return sphere_search_objective(target, energy)
 
 
 def linear_objective(w, shape, energy=1.0):
@@ -481,15 +487,16 @@ class TestLockstep:
 
     def test_non_finite_slice_raises_with_that_searchs_trace(self):
         def poisoned(search, generations):
-            readout = search.objective.readout
+            target = search.objective.target
             calls = []
 
             def failing(responses):
                 calls.append(len(responses))
-                values = readout(responses)
+                values = target.readout(responses)
                 return np.full_like(values, np.nan) if len(calls) > generations else values
 
-            return replace(search, objective=replace(search.objective, readout=failing))
+            objective = replace(search.objective, target=replace(target, readout=failing))
+            return replace(search, objective=objective)
 
         searches = [l1_search("unit", i, 1.0, 8, 0, 100, 1e-8, i) for i in range(3)]
         with pytest.raises(NonFiniteObjectiveError) as grouped_error:

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -513,3 +514,30 @@ class TestSerialization:
         rng = np.random.default_rng(29)
         matrix = rng.standard_normal((10, 121))
         np.testing.assert_array_equal(target.batch(matrix), rebuilt.batch(matrix))
+
+
+def built_in_handles():
+    l1 = sthor_network(default_l1_spec(weight_seed=30))
+    l2 = sthor_network(default_l2_spec(weight_seed=31))
+    template = unit_stimulus(np.arange(1.0, 122.0), 11, 11)
+    rng = np.random.default_rng(32)
+    a = rng.standard_normal((121, 121))
+    return {
+        "l1": l1,
+        "l2": l2,
+        "unit_view": unit_view(l1, 5),
+        "match_fitness": match_fitness(l2, l2.batch(rng.standard_normal((1, 441)))[0]),
+        "linear": linear_neuron(template),
+        "quadratic": quadratic_neuron((a + a.T) / 2, rng.standard_normal(121), 0.5, (11, 11)),
+    }
+
+
+@pytest.mark.parametrize("name", ["l1", "l2", "unit_view", "match_fitness", "linear", "quadratic"])
+def test_handle_pickles_with_unchanged_bytes(name):
+    handle = built_in_handles()[name]
+    copy = pickle.loads(pickle.dumps(handle))
+    matrix = np.random.default_rng(33).standard_normal((30, handle.size))
+    assert copy.batch(matrix).tobytes() == handle.batch(matrix).tobytes()
+    assert copy.input_shape == handle.input_shape and copy.name == handle.name
+    if handle.network is not None:
+        assert copy.batch.args[0] is copy.network
