@@ -41,6 +41,10 @@ class NonFiniteObjectiveError(TunescopeError):
     """The black-box objective returned NaN or infinity."""
 
 
+class NotPositiveDefiniteError(TunescopeError):
+    """A matrix that must be symmetric positive definite was not."""
+
+
 class ZeroVarianceError(TunescopeError):
     """A statistic that divides by a spread was given constant data."""
 

@@ -7,10 +7,12 @@ enter only through the projection chain baked into the objective, so
 every fitness evaluation sees a feasible point and the returned best is
 feasible by construction.
 
-The covariance update is deferred.  Each generation's rank-one and
-rank-mu terms are kept as low-rank factors (rows of a preallocated
-buffer, scaled by the discounts applied since) and folded into the
-dense covariance only at the next eigendecomposition, the one place
+Samples are drawn through the lower Cholesky factor A of the covariance
+C = A A^T, and the step-size path reads A^-1 of the mean shift as the
+weighted mean of the selected normal draws.  The covariance update is
+deferred: each generation's rank-one and rank-mu terms are kept as
+low-rank factors (rows of a preallocated buffer, scaled by the discounts
+applied since) and folded into C only when A is refreshed, the one place
 that reads it.  A generation therefore costs O(mu n) in the update
 instead of several n x n passes.
 
@@ -28,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteObjectiveError
+from .errors import NonFiniteObjectiveError, NotPositiveDefiniteError
 from .stimulus import Stimulus, sample_pink_noise
 
 if TYPE_CHECKING:
@@ -137,9 +139,11 @@ class _Strategy:
 
     The covariance is ``decay * (cov + R.T @ R)``, where the rows of
     ``R`` are the scaled rank-one and rank-mu vectors of the
-    generations told since the last eigendecomposition and ``decay`` is
-    the product of their discounts.  ``_update_eigensystem`` folds them
-    into ``cov``; nothing else reads it.
+    generations told since the last refresh and ``decay`` is the
+    product of their discounts.  ``_update_eigensystem``, traced by
+    that name, folds them into ``cov`` and refreshes its lower Cholesky
+    ``factor``.  ``tell`` takes the rows of the preceding ``ask``, whose
+    normal draws ``z`` give the step-size path.
     """
 
     def __init__(self, x0: np.ndarray, sigma: float, lam: int, rng: np.random.Generator):
@@ -166,13 +170,13 @@ class _Strategy:
         self.pc = np.zeros(n)
         self.ps = np.zeros(n)
         self.cov = np.eye(n)
-        self.eigenbasis = np.eye(n)
-        self.scales = np.ones(n)
+        self.factor = np.eye(n)
+        self.z = np.zeros((lam, n))
         self.counteval = 0
         self.updated_eval = 0
 
         # At most ceil(gap / lam) generations are told between two
-        # eigendecompositions; one more is slack.
+        # factorizations; one more is slack.
         generations = int(np.ceil(self.lazy_gap_evals / lam)) + 1
         self.pending = np.empty((generations * (mu + 1), n))
         self.pending_rows = 0
@@ -187,32 +191,28 @@ class _Strategy:
         self.cov *= self.decay
         self.pending_rows = 0
         self.decay = 1.0
-        self.cov = (self.cov + self.cov.T) / 2
-        eigvals, eigvecs = np.linalg.eigh(self.cov)
-        floor = 1e-14 * float(np.trace(self.cov)) / self.n
-        eigvals = np.maximum(eigvals, floor)
-        self.scales = np.sqrt(eigvals)
-        self.eigenbasis = eigvecs
+        try:
+            self.factor = np.linalg.cholesky(self.cov)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError("covariance is not positive definite") from exc
         self.updated_eval = self.counteval
 
     def ask(self) -> np.ndarray:
         self._update_eigensystem()
-        z = self.rng.standard_normal((self.lam, self.n))
-        y = (z * self.scales) @ self.eigenbasis.T
-        return self.xmean + self.sigma * y
+        self.z = self.rng.standard_normal((self.lam, self.n))
+        return self.xmean + self.sigma * (self.z @ self.factor.T)
 
     def tell(self, points: np.ndarray, scores: np.ndarray) -> None:
-        """Update state from a scored generation; higher score is better."""
+        """Update state from the scored rows of the last ``ask``; higher is better."""
         order = np.argsort(-scores, kind="stable")
         selected = points[order[: self.mu]]
         xold = self.xmean
         self.xmean = self.weights @ selected
 
         shift = (self.xmean - xold) / self.sigma
-        # C^-1/2 @ shift, from the eigensystem
-        self.ps = (1 - self.cs) * self.ps + np.sqrt(
-            self.cs * (2 - self.cs) * self.mueff
-        ) * (self.eigenbasis @ ((shift @ self.eigenbasis) / self.scales))
+        # factor^-1 @ shift is the weighted mean of the selected draws
+        draws = self.weights @ self.z[order[: self.mu]]
+        self.ps = (1 - self.cs) * self.ps + np.sqrt(self.cs * (2 - self.cs) * self.mueff) * draws
         expected_decay = 1 - (1 - self.cs) ** (2 * self.counteval / self.lam)
         hsig = float(self.ps @ self.ps) / expected_decay / self.n < 2 + 4 / (self.n + 1)
         self.pc = (1 - self.cc) * self.pc + hsig * np.sqrt(

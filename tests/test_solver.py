@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tunescope.errors import NonFiniteObjectiveError
+from tunescope.errors import NonFiniteObjectiveError, NotPositiveDefiniteError
 from tunescope.search import sphere_search_objective
 from tunescope.solver import (
     Search,
@@ -297,27 +297,32 @@ class TestDeferredCovariance:
             assert peak < n * n * 8
 
     def test_eigensystem_updates_are_folds(self, monkeypatch):
-        """``updated_eval`` moves exactly when ``eigh`` runs, and each
-        ``eigh`` follows one fold of pending rows."""
-        counts = {"eigh": 0, "folds": 0, "updates": 0}
-        eigh = np.linalg.eigh
+        """``updated_eval`` moves exactly when ``cholesky`` runs, each
+        ``cholesky`` follows one fold of pending rows, and nothing calls
+        ``eigh``."""
+        counts = {"cholesky": 0, "eigh": 0, "folds": 0, "updates": 0}
+        cholesky, eigh = np.linalg.cholesky, np.linalg.eigh
 
-        def counting_eigh(matrix):
-            counts["eigh"] += 1
-            return eigh(matrix)
+        def counting(name, function):
+            def call(matrix):
+                counts[name] += 1
+                return function(matrix)
+
+            return call
 
         update = _Strategy._update_eigensystem
 
         def watched(strategy):
-            eigh_before = counts["eigh"]
+            cholesky_before = counts["cholesky"]
             eval_before, rows_before = strategy.updated_eval, strategy.pending_rows
             update(strategy)
-            ran = counts["eigh"] != eigh_before
+            ran = counts["cholesky"] != cholesky_before
             assert (strategy.updated_eval != eval_before) == ran
             counts["updates"] += ran
             counts["folds"] += rows_before > 0 and strategy.pending_rows == 0
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", cholesky))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
         monkeypatch.setattr(_Strategy, "_update_eigensystem", watched)
         n = 121
         w = np.random.default_rng(5).standard_normal(n)
@@ -327,7 +332,55 @@ class TestDeferredCovariance:
         _, trace = maximize(objective, x0, config)
         assert trace.termination_reason is TerminationReason.BUDGET
         assert counts["updates"] > 0
-        assert counts["folds"] == counts["eigh"] == counts["updates"]
+        assert counts["folds"] == counts["cholesky"] == counts["updates"]
+        assert counts["eigh"] == 0
+
+
+class TestCholeskyFactor:
+    @given(
+        n=st.sampled_from([2, 16, 121]),
+        lam=st.integers(2, 64),
+        folds=st.integers(1, 3),
+        linear=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, deadline=None)
+    @example(n=121, lam=18, folds=2, linear=True, seed=0)
+    @example(n=2, lam=64, folds=3, linear=False, seed=1)
+    def test_factor_and_selected_draws(self, n, lam, folds, linear, seed):
+        """Each refreshed factor is a lower Cholesky factor of the folded
+        covariance, and the weighted selected draws solve it for the shift."""
+        strategy = new_strategy(n, lam, seed)
+        score_rng = np.random.default_rng(seed + 2)
+        direction = score_rng.standard_normal(n)
+        epoch = int(np.ceil(strategy.lazy_gap_evals / lam))
+        refreshes = 0
+        for _ in range(folds * epoch + 1):
+            before = strategy.updated_eval
+            xold, sigma = strategy.xmean.copy(), strategy.sigma
+            points = strategy.ask()
+            factor = strategy.factor
+            if strategy.updated_eval != before:
+                refreshes += 1
+                assert np.array_equal(factor, np.tril(factor))
+                err = np.max(np.abs(factor @ factor.T - strategy.cov)) / np.max(np.abs(strategy.cov))
+                assert err <= 1e-12
+            strategy.counteval += lam
+            scores = points @ direction if linear else score_rng.standard_normal(lam)
+            strategy.tell(points, scores)
+            order = np.argsort(-scores, kind="stable")
+            draws = strategy.weights @ strategy.z[order[: strategy.mu]]
+            solved = np.linalg.solve(factor, (strategy.xmean - xold) / sigma)
+            assert np.max(np.abs(draws - solved)) <= 1e-9 * max(1.0, np.max(np.abs(solved)))
+        assert refreshes >= folds
+
+    def test_covariance_not_positive_definite_raises(self):
+        n = 16
+        strategy = new_strategy(n, default_population_size(n), seed=8)
+        strategy.cov = -np.eye(n)
+        strategy.counteval += int(np.ceil(strategy.lazy_gap_evals))
+        with pytest.raises(NotPositiveDefiniteError):
+            strategy.ask()
 
 
 def reference_search(objective, x0, config, sign):
