@@ -17,6 +17,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -544,15 +545,26 @@ def _sha256(*arrays) -> str:
     return digest.hexdigest()
 
 
+def _bound_sha256(function) -> str | None:
+    """Digest of the arrays and floats a ``functools.partial`` binds;
+    None when it binds none or ``function`` is no partial."""
+    bound = (*function.args, *function.keywords.values()) if isinstance(function, partial) else ()
+    data = [value for value in bound if isinstance(value, (np.ndarray, float))]
+    return _sha256(*data) if data else None
+
+
 def _network_fingerprint(handle: TargetHandle):
     """Spec and kernel digest of a built cascade.  A view of a network
-    gives its name and its network's fingerprint; other targets give
-    their name."""
+    gives its name, its network's fingerprint and the data its readout
+    binds; other targets give their name and the data their batch binds."""
     if handle.network is not None:
-        return {"view": handle.name, "network": _network_fingerprint(handle.network)}
+        blob = {"view": handle.name, "network": _network_fingerprint(handle.network)}
+        digest = _bound_sha256(handle.readout)
+        return blob if digest is None else dict(blob, readout_sha256=digest)
     meta = handle.meta or {}
     if "spec" not in meta:
-        return handle.name
+        digest = _bound_sha256(handle.batch)
+        return handle.name if digest is None else {"name": handle.name, "batch_sha256": digest}
     return {
         "spec": spec_to_json(meta["spec"]),
         "kernels_sha256": _sha256(*meta["kernels"]),

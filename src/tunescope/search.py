@@ -68,11 +68,15 @@ def default_deltas() -> tuple[float, ...]:
     return tuple(0.1 * np.pi * k for k in range(1, 6))
 
 
-# the least value of each run count, candidate count and budget per dimension
+# the least value of each run count, candidate count, budget per dimension
+# and stop rule
 _MINIMUMS = dict(
     optimal_runs=1, optimal_budget_per_dim=1, seed_candidates=1, path_budget_per_dim=1,
-    subspace_runs=2, reconstruct_runs=1, reconstruct_budget_per_dim=1,
+    subspace_runs=2, reconstruct_runs=1, reconstruct_budget_per_dim=1, stagnation_window=1,
+    step_tolerance=0.0,
 )
+# the scales that must be finite and above 0
+_POSITIVE = ("energy", "optimal_sigma0", "path_sigma0")
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,9 @@ class SearchConfig:
     run and ``path_budget_per_dim * N`` per cone angle.  Cone angles
     (``deltas``, at least one, and ``subspace_delta``) must lie in
     (0, pi].  A subspace needs at least two runs; every other run count,
-    candidate count and budget is at least 1.
+    candidate count and budget, and the stagnation window, is at least 1.
+    ``energy`` and both initial steps are finite and above 0, and
+    ``step_tolerance`` is finite and at least 0.
     """
 
     seed: int = 0
@@ -111,8 +117,11 @@ class SearchConfig:
             if not 0 < delta <= np.pi:
                 raise ValueError(f"cone angle {delta} outside (0, pi]")
         for name, least in _MINIMUMS.items():
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} is {getattr(self, name)}; it must be at least {least}")
+            if not least <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} is {getattr(self, name)}; it must be finite, at least {least}")
+        for name in _POSITIVE:
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} is {getattr(self, name)}; it must be finite, above 0")
 
     def scaled(self, **overrides) -> "SearchConfig":
         return replace(self, **overrides)

@@ -35,12 +35,13 @@ from tunescope.search import (
 from tunescope.solver import default_population_size
 from tunescope.seeds import derive_rng
 from tunescope.stats import multiple_r2, pearson, spearman
-from tunescope.stimulus import Stimulus, read_stimulus_csv
+from tunescope.stimulus import Stimulus, project_sphere, read_stimulus_csv
 from tunescope.targets import (
     HyperRanges,
     TargetHandle,
     default_l1_spec,
     linear_neuron,
+    match_fitness,
     sample_network_population,
     sthor_network,
     unit_view,
@@ -612,3 +613,47 @@ class TestRunStudy:
         assert set(cascade) == {"spec", "kernels_sha256"}
         assert fingerprint(unit_view(network, 3)) == {"view": "sthor-l1[3]", "network": cascade}
         assert fingerprint(unit_view(network, 3)) != fingerprint(unit_view(network, 5))
+
+    @staticmethod
+    def match_views(network, seed, count=2):
+        """``match_fitness`` views of ``network`` on random references."""
+        rng = np.random.default_rng(seed)
+        return [
+            match_fitness(network, network.batch(rng.standard_normal((1, network.size)))[0])
+            for _ in range(count)
+        ]
+
+    def test_handles_that_bind_other_data_fingerprint_apart(self):
+        network = sthor_network(default_l1_spec(weight_seed=34))
+        task = small_task()
+        refs = sample_references(task, 2, seed=9)
+        config = BenchConfig(seed=1, search=MICRO)
+
+        def fingerprint(handle):
+            return _study_fingerprint([handle], task, refs, config)["networks"][0]
+
+        first, second = self.match_views(network, seed=35)
+        probe = np.random.default_rng(36).standard_normal((3, network.size))
+        assert not np.array_equal(first.batch(probe), second.batch(probe))
+        assert fingerprint(first) != fingerprint(second)
+        assert fingerprint(first) == fingerprint(self.match_views(network, seed=35)[0])
+        assert fingerprint(first)["network"] == fingerprint(network)
+
+        templates = [
+            project_sphere(np.random.default_rng(seed).standard_normal(16), 1.0, (4, 4))
+            for seed in (37, 38)
+        ]
+        neurons = [linear_neuron(template) for template in templates]
+        assert fingerprint(neurons[0]) != fingerprint(neurons[1])
+        assert fingerprint(neurons[0]) == fingerprint(linear_neuron(templates[0]))
+
+    def test_changed_reference_rejected_on_resume(self, tmp_path):
+        network = sthor_network(default_l1_spec(weight_seed=34))
+        task = small_task()
+        refs = sample_references(task, 2, seed=9)
+        config = BenchConfig(seed=1, search=MICRO, n_pairs=60, unit_sample=1,
+                             store_dir=str(tmp_path / "store"))
+        first, second = self.match_views(network, seed=35)
+        run_study([first], task, refs, config)
+        with pytest.raises(ValueError, match="different study config"):
+            run_study([second], task, refs, config)

@@ -45,6 +45,17 @@ UNUSABLE_SEARCH = [
     {"reconstruct_budget_per_dim": 0},
 ]
 UNUSABLE_IDS = [f"{key}={value}" for bad in UNUSABLE_SEARCH for key, value in bad.items()]
+# values that would turn every search into a no-op or a non-finite start
+NO_OP_SEARCH = [
+    {"energy": 0},
+    {"energy": float("inf")},
+    {"optimal_sigma0": 0},
+    {"path_sigma0": -0.1},
+    {"stagnation_window": 0},
+    {"step_tolerance": -1e-8},
+    {"step_tolerance": float("nan")},
+]
+NO_OP_IDS = [f"{key}={value}" for bad in NO_OP_SEARCH for key, value in bad.items()]
 
 
 @pytest.fixture
@@ -204,6 +215,18 @@ class TestCharacterize:
                      "--out", str(out)]) == 1
         error = error_payload(capsys)
         assert error["type"] == "ValueError" and "least" in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", NO_OP_SEARCH, ids=NO_OP_IDS)
+    def test_no_op_search_value_is_config_error(self, tmp_path, capsys, bad):
+        config = tmp_path / "search.json"
+        config.write_text(json.dumps(dict(MICRO_SEARCH, **bad)))
+        out = tmp_path / "char"
+        assert main(["characterize", "--target", "linear", "--shape", "4",
+                     "--seed", "3", "--config", str(config),
+                     "--out", str(out)]) == 1
+        error = error_payload(capsys)
+        assert error["type"] == "ValueError" and next(iter(bad)) in error["message"]
         assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys, micro_config):
@@ -389,6 +412,15 @@ class TestBench:
         assert main(["bench", "--config", self.write_config(tmp_path, blob),
                      "--out", str(store)]) == 1
         assert "subspace_runs" in error_payload(capsys)["message"]
+        assert not store.exists()
+
+    def test_zero_initial_step_in_study_config(self, tmp_path, capsys):
+        blob = study_blob()
+        blob["search"] = dict(MICRO_SEARCH, optimal_sigma0=0)
+        store = tmp_path / "store"
+        assert main(["bench", "--config", self.write_config(tmp_path, blob),
+                     "--out", str(store)]) == 1
+        assert "optimal_sigma0" in error_payload(capsys)["message"]
         assert not store.exists()
 
     def test_unit_sample_below_one_in_study_config(self, tmp_path, capsys):
