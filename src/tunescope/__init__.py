@@ -17,7 +17,6 @@ from .stimulus import (
     Stimulus,
     StimulusSet,
     angular_distance,
-    average_energy,
     project_sphere,
     random_orthogonal_unit,
     sample_pink_noise,
@@ -42,7 +41,6 @@ __all__ = [
     "sample_pink_noise",
     "random_orthogonal_unit",
     "angular_distance",
-    "average_energy",
     "TargetHandle",
     "HyperRanges",
     "linear_neuron",

@@ -341,7 +341,7 @@ def characterize_population(
     reference_responses = target.batch(references.matrix())
     best_ref = int(np.argmax(np.linalg.norm(reference_responses, axis=1)))
     matcher = match_fitness(target, reference_responses[best_ref])
-    pop_config = config.scaled(seed=derive_int(config.seed, "population"))
+    pop_config = replace(config, seed=derive_int(config.seed, "population"))
 
     unit_rng = derive_rng(config.seed, "bench", "units")
     n_units = min(unit_sample, target.response_dim)
@@ -350,7 +350,7 @@ def characterize_population(
     )
     plans = [optimal_plan(matcher, pop_config)]
     plans += [
-        optimal_plan(unit_view(target, index), config.scaled(seed=derive_int(config.seed, "unit", index)))
+        optimal_plan(unit_view(target, index), replace(config, seed=derive_int(config.seed, "unit", index)))
         for index in unit_indices
     ]
     plans += encode_plans(target, references, config)
@@ -409,11 +409,12 @@ class BenchConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        if self.n_pairs < 2:
+            raise ValueError(f"n_pairs is {self.n_pairs}; it must be at least 2")
         if self.unit_sample < 1:
             raise ValueError(f"unit_sample is {self.unit_sample}; it must be at least 1")
-
-    def scaled(self, **overrides) -> "BenchConfig":
-        return replace(self, **overrides)
+        if self.workers < 1:
+            raise ValueError(f"workers is {self.workers}; it must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -494,9 +495,12 @@ def _write_network_artifacts(
     net_dir: Path, performance: float, report: MeasureReport, artifacts: dict
 ) -> None:
     net_dir.mkdir(parents=True, exist_ok=True)
-    write_stimulus_csv(artifacts["x_hat"], net_dir / "x_hat.csv")
-    write_stimulus_pgm(artifacts["x_hat"], net_dir / "x_hat.pgm")
-    write_fd_csv(build_fd_diagram(artifacts["paths"]), net_dir / "fd.csv")
+    with _atomic_write(net_dir / "x_hat.csv") as tmp:
+        write_stimulus_csv(artifacts["x_hat"], tmp)
+    with _atomic_write(net_dir / "x_hat.pgm") as tmp:
+        write_stimulus_pgm(artifacts["x_hat"], tmp)
+    with _atomic_write(net_dir / "fd.csv") as tmp:
+        write_fd_csv(build_fd_diagram(artifacts["paths"], None), tmp)
     blob = {
         "measures": report.as_dict(),
         "performance": performance,
@@ -672,7 +676,7 @@ def run_study(
                 results[index] = loaded
                 continue
         pending.append(index)
-        search_config = config.search.scaled(seed=derive_int(config.seed, "network", index))
+        search_config = replace(config.search, seed=derive_int(config.seed, "network", index))
         jobs.append(
             (target, task, references, search_config, config.n_pairs, split_seed,
              config.unit_sample, net_dir)

@@ -142,7 +142,7 @@ def _search_from(args, master_seed: int) -> SearchConfig:
     if getattr(args, "config", None):
         blob = _load_json(_require_path(args.config, "solver config"))
     config = _from_mapping(SearchConfig, blob, "solver config")
-    return config.scaled(seed=master_seed)
+    return replace(config, seed=master_seed)
 
 
 def _master_seed(args, blob: dict | None = None) -> int:
@@ -387,6 +387,8 @@ def _resolve_report(args) -> RunConfig:
     store = _require_path(args.store, "store")
     if not store.is_dir():
         raise ValueError(f"store {store} is not a directory")
+    if args.permutations < 1:
+        raise ValueError(f"--permutations is {args.permutations}; it must be at least 1")
     out = Path(args.out) if args.out else store
     return RunConfig(
         subcommand="report",
@@ -438,8 +440,7 @@ def _walks_for(run: RunConfig, target: TargetHandle, x_hat: Stimulus):
 
 def _emit_paths(run: RunConfig, optimal, paths, walks) -> None:
     _write_optimal(run.out, optimal)
-    diagram = build_fd_diagram(paths, walks=walks, optimum_fitness=optimal.fitness)
-    write_fd_csv(diagram, run.out / "fd.csv")
+    write_fd_csv(build_fd_diagram(paths, walks), run.out / "fd.csv")
     for path in paths:
         _write_matrix_csv(run.out / f"path_{path.kind}.csv", path.points)
 

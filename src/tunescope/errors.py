@@ -17,14 +17,6 @@ class NonFiniteError(TunescopeError):
     """An array contained NaN or infinity."""
 
 
-class DegenerateDirectionError(TunescopeError):
-    """Conic projection received a point parallel to the cone axis.
-
-    The caller is responsible for substituting a fresh random direction;
-    the projection itself never guesses one.
-    """
-
-
 class ImprobableFailureError(TunescopeError):
     """An internal retry loop exhausted its attempts.
 

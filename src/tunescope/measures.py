@@ -19,9 +19,7 @@ from .search import PathResult, ReconstructionSet, SubspaceSample
 from .stimulus import Stimulus, StimulusSet
 
 __all__ = [
-    "SsimParams",
     "MeasureReport",
-    "FitnessDistanceDiagram",
     "spectral_complexity",
     "explanation_power",
     "ssim",
@@ -36,26 +34,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SsimParams:
-    """Windowed-similarity constants.
-
-    ``dynamic_range`` of None means the joint value range of the two
-    images being compared (which keeps the measure symmetric); pass the
-    reference stimulus's own range to pin it.
-    """
-
-    window_size: int = 11
-    sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
-    dynamic_range: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.window_size < 1 or self.window_size % 2 == 0:
-            raise ValueError("window size must be odd and positive")
-        if self.sigma <= 0 or self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError("ssim constants must be positive")
+# windowed-similarity constants: Gaussian window side and width, and the
+# stabilizers as fractions of the dynamic range
+_SSIM_WINDOW = 11
+_SSIM_SIGMA = 1.5
+_SSIM_K1 = 0.01
+_SSIM_K2 = 0.03
 
 
 @dataclass(frozen=True)
@@ -80,30 +64,6 @@ class MeasureReport:
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.FIELDS}
-
-
-@dataclass(frozen=True)
-class FitnessDistanceDiagram:
-    """Collated (angle, fitness) samples per series, with per-angle means."""
-
-    samples: tuple[tuple[float, float, str], ...]
-    optimum_fitness: float | None = None
-
-    SERIES = ("invariance", "selectivity", "random_walk")
-
-    def series_deltas(self, series: str) -> tuple[float, ...]:
-        return tuple(sorted({d for d, _, s in self.samples if s == series}))
-
-    def series_mean(self, series: str, delta: float) -> float:
-        values = [f for d, f, s in self.samples if s == series and d == delta]
-        if not values:
-            raise ValueError(f"no samples for {series!r} at {delta}")
-        return float(np.mean(values))
-
-    def normalized_mean(self, series: str, delta: float) -> float:
-        if self.optimum_fitness is None or self.optimum_fitness == 0:
-            raise ValueError("no optimum fitness attached")
-        return self.series_mean(series, delta) / self.optimum_fitness
 
 
 # ---------------------------------------------------------------------------
@@ -154,25 +114,30 @@ def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     return window / window.sum()
 
 
-def ssim(a: Stimulus, b: Stimulus, params: SsimParams = SsimParams()) -> float:
-    """Mean local structural similarity over valid window positions."""
+def ssim(a: Stimulus, b: Stimulus, dynamic_range: float | None = None) -> float:
+    """Mean local structural similarity over valid window positions.
+
+    ``dynamic_range`` of None means the joint value range of the two
+    images being compared (which keeps the measure symmetric); pass the
+    reference stimulus's own range to pin it.
+    """
     if a.shape != b.shape:
         raise ValueError("stimulus shapes differ")
-    size = params.window_size
+    size = _SSIM_WINDOW
     if size > min(a.shape):
         raise ValueError(f"window {size} exceeds image side {min(a.shape)}")
-    if params.dynamic_range is not None:
-        value_range = float(params.dynamic_range)
+    if dynamic_range is not None:
+        value_range = float(dynamic_range)
     else:
         lo = min(float(a.values.min()), float(b.values.min()))
         hi = max(float(a.values.max()), float(b.values.max()))
         value_range = hi - lo
     if value_range == 0.0:
         return 1.0  # both images are the same constant
-    c1 = (params.k1 * value_range) ** 2
-    c2 = (params.k2 * value_range) ** 2
+    c1 = (_SSIM_K1 * value_range) ** 2
+    c2 = (_SSIM_K2 * value_range) ** 2
 
-    window = _gaussian_window(size, params.sigma)
+    window = _gaussian_window(size, _SSIM_SIGMA)
     image_a = a.image
     image_b = b.image
 
@@ -194,16 +159,14 @@ def ssim(a: Stimulus, b: Stimulus, params: SsimParams = SsimParams()) -> float:
     return float(np.mean(numerator / denominator))
 
 
-def encoding_specificity(recons: ReconstructionSet, params: SsimParams | None = None) -> float:
+def encoding_specificity(recons: ReconstructionSet) -> float:
     """Mean similarity between the reference and its reconstructions.
 
     The similarity's dynamic range is pinned to the reference's own
-    value range unless params overrides it.
+    value range.
     """
-    if params is None:
-        reference_range = float(np.ptp(recons.reference.values))
-        params = SsimParams(dynamic_range=reference_range)
-    scores = [ssim(recons.reference, item, params) for item in recons.reconstructions]
+    reference_range = float(np.ptp(recons.reference.values))
+    scores = [ssim(recons.reference, item, reference_range) for item in recons.reconstructions]
     return float(np.mean(scores))
 
 
@@ -306,27 +269,25 @@ def subspace_alignment(
 
 
 def build_fd_diagram(
-    paths: list[PathResult],
-    walks: list[tuple[float, float]] | None = None,
-    optimum_fitness: float | None = None,
-) -> FitnessDistanceDiagram:
-    """Collate path and walk samples into one diagram."""
+    paths: list[PathResult], walks: list[tuple[float, float]] | None
+) -> tuple[tuple[float, float, str], ...]:
+    """Collate path and walk samples into (delta, fitness, series) rows;
+    the walks' series is ``random_walk``."""
     samples: list[tuple[float, float, str]] = []
     for path in paths:
         for delta, fitness in zip(path.deltas, path.fitnesses):
             samples.append((float(delta), float(fitness), path.kind))
-    if walks:
-        for delta, fitness in walks:
-            samples.append((float(delta), float(fitness), "random_walk"))
+    for delta, fitness in walks or ():
+        samples.append((float(delta), float(fitness), "random_walk"))
     if not samples:
         raise ValueError("diagram needs at least one series")
-    return FitnessDistanceDiagram(samples=tuple(samples), optimum_fitness=optimum_fitness)
+    return tuple(samples)
 
 
-def write_fd_csv(diagram: FitnessDistanceDiagram, path) -> None:
+def write_fd_csv(samples: tuple[tuple[float, float, str], ...], path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("series,delta,fitness\n")
-        for delta, fitness, series in diagram.samples:
+        for delta, fitness, series in samples:
             fh.write(f"{series},{delta!r},{fitness!r}\n")
 
 

@@ -123,9 +123,6 @@ class SearchConfig:
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} is {getattr(self, name)}; it must be finite, above 0")
 
-    def scaled(self, **overrides) -> "SearchConfig":
-        return replace(self, **overrides)
-
 
 @dataclass(frozen=True)
 class OptimalStimulusResult:
@@ -142,7 +139,6 @@ class PathResult:
     deltas: tuple[float, ...]
     points: tuple[Stimulus, ...]
     fitnesses: tuple[float, ...]
-    run_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -346,9 +342,7 @@ def _cone_search(
     return Search(objective, start, solver_config, _SIGNS[kind])
 
 
-def path_plan(
-    target: TargetHandle, x_hat: Stimulus, config: SearchConfig, kind: str, run_index: int = 0
-) -> Plan:
+def path_plan(target: TargetHandle, x_hat: Stimulus, config: SearchConfig, kind: str) -> Plan:
     """Plan of a cone path: one round per cone angle, ascending, whose
     search starts from the previous round's point (``x_hat`` at first)."""
     deltas = tuple(sorted(config.deltas))
@@ -356,25 +350,22 @@ def path_plan(
     points = []
     fitnesses = []
     for k, delta in enumerate(deltas):
-        step = _cone_search(target, x_hat, config, delta, point, kind, "path", kind, run_index, k)
+        # the 0 is a fixed part of the stream labels the goldens were drawn with
+        step = _cone_search(target, x_hat, config, delta, point, kind, "path", kind, 0, k)
         [(point, trace)] = yield [step]
         points.append(point)
         fitnesses.append(float(trace.best_fitness))
-    return PathResult(kind, deltas, tuple(points), tuple(fitnesses), run_index)
+    return PathResult(kind, deltas, tuple(points), tuple(fitnesses))
 
 
-def invariance_path(
-    target: TargetHandle, x_hat: Stimulus, config: SearchConfig, run_index: int = 0
-) -> PathResult:
+def invariance_path(target: TargetHandle, x_hat: Stimulus, config: SearchConfig) -> PathResult:
     """Maximize along ascending cone angles, warm-starting each from the last."""
-    return run_plans([path_plan(target, x_hat, config, "invariance", run_index)])[0]
+    return run_plans([path_plan(target, x_hat, config, "invariance")])[0]
 
 
-def selectivity_path(
-    target: TargetHandle, x_hat: Stimulus, config: SearchConfig, run_index: int = 0
-) -> PathResult:
+def selectivity_path(target: TargetHandle, x_hat: Stimulus, config: SearchConfig) -> PathResult:
     """Minimize along ascending cone angles, warm-starting each from the last."""
-    return run_plans([path_plan(target, x_hat, config, "selectivity", run_index)])[0]
+    return run_plans([path_plan(target, x_hat, config, "selectivity")])[0]
 
 
 def subspace_plan(target: TargetHandle, x_hat: Stimulus, config: SearchConfig, kind: str) -> Plan:
@@ -446,7 +437,7 @@ def encode_plans(
     """One ``reconstruct_plan`` per reference; reference ``i`` is seeded
     with ``derive_int(config.seed, "encode", i)``."""
     return [
-        reconstruct_plan(target, ref, config.scaled(seed=derive_int(config.seed, "encode", i)))
+        reconstruct_plan(target, ref, replace(config, seed=derive_int(config.seed, "encode", i)))
         for i, ref in enumerate(references)
     ]
 

@@ -62,24 +62,15 @@ class SolverConfig:
     """Run-level knobs for one search.
 
     ``max_evaluations`` is the hard budget (lambda times the generation
-    count, plus one for the feasible start point).  ``population_size``
-    of None means the dimension-dependent default.
+    count, plus one for the feasible start point), where lambda is
+    ``default_population_size`` of the input dimension.
     """
 
     max_evaluations: int
-    population_size: int | None = None
     initial_step: float = 0.3
     step_tolerance: float = 1e-8
     stagnation_window: int = 20
     seed: int | np.random.SeedSequence = 0
-
-    def resolved_population_size(self, n: int) -> int:
-        lam = self.population_size if self.population_size is not None else default_population_size(n)
-        if lam < 2:
-            raise ValueError(f"population size {lam} < 2")
-        if self.max_evaluations < lam:
-            raise ValueError("budget smaller than one generation")
-        return lam
 
 
 class TerminationReason(str, Enum):
@@ -253,7 +244,9 @@ class _Run:
     def __init__(self, search: Search):
         self.search = search
         x0, config = search.x0, search.config
-        self.lam = config.resolved_population_size(x0.size)
+        self.lam = default_population_size(x0.size)
+        if config.max_evaluations < self.lam:
+            raise ValueError("budget smaller than one generation")
         self.trace = SearchTrace()
         rng = np.random.default_rng(config.seed)
         self.strategy = _Strategy(x0.values, config.initial_step * x0.energy, self.lam, rng)
@@ -332,7 +325,7 @@ def lockstep_groups(searches: Sequence[Search]) -> list[list[Search]]:
     rows = 0
     for search in searches:
         network = search.objective.target.network
-        lam = search.config.resolved_population_size(search.x0.size)
+        lam = default_population_size(search.x0.size)
         joins = (
             groups
             and network is not None

@@ -157,9 +157,9 @@ def permutation_test(
     """Two-sided permutation p-value, (1 + hits) / (1 + draws).
 
     ``mean_diff`` shuffles group labels of the pooled values; ``slope``
-    treats (a, b) as paired series and shuffles b against a.  When the
-    exact permutation count fits inside ``n_perm`` the enumeration is
-    exhaustive instead of sampled.
+    treats (a, b) as paired series and shuffles b against a.  ``n_perm``
+    is at least 1.  When the exact permutation count fits inside
+    ``n_perm`` the enumeration is exhaustive instead of sampled.
 
     Draw stream: sampled draw i is the i-th ``rng.permutation`` of the
     pooled indices (``mean_diff``) or of b's indices (``slope``) from
@@ -178,6 +178,8 @@ def permutation_test(
     b = _as_series(b, "b")
     if a.size < 2 or b.size < 2:
         raise ValueError("both groups need at least 2 values")
+    if n_perm < 1:
+        raise ValueError(f"n_perm is {n_perm}; it must be at least 1")
 
     if statistic == "mean_diff":
         pooled = np.concatenate([a, b])

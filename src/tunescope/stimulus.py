@@ -13,13 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateDirectionError,
-    EmptySetError,
-    ImprobableFailureError,
-    NonFiniteError,
-    ZeroVectorError,
-)
+from .errors import EmptySetError, ImprobableFailureError, NonFiniteError, ZeroVectorError
 
 __all__ = [
     "Stimulus",
@@ -29,7 +23,6 @@ __all__ = [
     "sample_pink_noise",
     "random_orthogonal_unit",
     "angular_distance",
-    "average_energy",
     "write_stimulus_csv",
     "read_stimulus_csv",
     "write_stimulus_pgm",
@@ -96,9 +89,6 @@ class Stimulus:
         """Direction of the stimulus: values scaled to unit norm."""
         return self.values / np.linalg.norm(self.values)
 
-    def replace_values(self, values: np.ndarray) -> "Stimulus":
-        return Stimulus.from_values(values, self.height, self.width)
-
 
 @dataclass(frozen=True)
 class StimulusSet:
@@ -139,18 +129,10 @@ class StimulusSet:
         return np.stack([s.values for s in self.items])
 
 
-def project_sphere(values: np.ndarray, energy: float, shape: tuple[int, int] | None = None) -> Stimulus:
-    """Radially project a raw array onto the sphere of the given energy.
-
-    ``shape`` may be omitted when ``values`` is already 2-D.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if shape is None:
-        if arr.ndim != 2:
-            raise ValueError("shape required for non-2-D input")
-        shape = arr.shape
+def project_sphere(values: np.ndarray, energy: float, shape: tuple[int, int]) -> Stimulus:
+    """Radially project a raw array onto the sphere of the given energy."""
     height, width = int(shape[0]), int(shape[1])
-    flat = arr.ravel()
+    flat = np.asarray(values, dtype=np.float64).ravel()
     if not np.all(np.isfinite(flat)):
         raise NonFiniteError("cannot project non-finite values")
     norm = float(np.linalg.norm(flat))
@@ -163,7 +145,7 @@ def project_cone_batch(
     raw: np.ndarray,
     x_hat: Stimulus,
     delta: float,
-    fallback_rng: np.random.Generator | None = None,
+    fallback_rng: np.random.Generator,
 ) -> np.ndarray:
     """Project each row of ``raw`` onto the cone at ``delta`` around ``x_hat``.
 
@@ -171,8 +153,7 @@ def project_cone_batch(
     ``delta`` radians from it.  A row's component along the axis is
     discarded; only its orthogonal direction survives.  A row parallel
     to the axis has no such direction: it gets a random orthogonal one
-    drawn from ``fallback_rng``, or raises ``DegenerateDirectionError``
-    when no generator is given.
+    drawn from ``fallback_rng``.
     """
     if not (0 < delta <= np.pi):
         raise ValueError(f"delta {delta} outside (0, pi]")
@@ -181,16 +162,10 @@ def project_cone_batch(
     coeff = (raw @ axis) / (energy * energy)
     residual = raw - coeff[:, None] * axis
     norms = np.linalg.norm(residual, axis=1)
-    bad = norms < _DEGENERATE_TOL
-    if np.any(bad):
-        if fallback_rng is None:
-            raise DegenerateDirectionError(
-                "point is parallel to the cone axis; resupply a random direction"
-            )
-        for row in np.flatnonzero(bad):
-            substitute = random_orthogonal_unit(x_hat, fallback_rng)
-            residual[row] = substitute.values
-            norms[row] = np.linalg.norm(substitute.values)
+    for row in np.flatnonzero(norms < _DEGENERATE_TOL):
+        substitute = random_orthogonal_unit(x_hat, fallback_rng)
+        residual[row] = substitute.values
+        norms[row] = np.linalg.norm(substitute.values)
     return np.cos(delta) * axis + residual * (energy * np.sin(delta) / norms[:, None])
 
 
@@ -203,28 +178,24 @@ def _radial_frequency(height: int, width: int) -> np.ndarray:
 def sample_pink_noise(
     height: int,
     width: int,
-    alpha: float | Sequence[float],
+    alphas: Sequence[float],
     energy: float,
     rng: np.random.Generator,
     *,
-    count: int | None = None,
-) -> Stimulus | np.ndarray:
-    """Random stimulus with Fourier amplitude envelope ``f ** (-alpha)``.
+    count: int,
+) -> np.ndarray:
+    """``count`` random stimuli as the rows of a (count, height * width) array.
 
-    ``alpha = 0`` gives white noise.  The DC bin is always zeroed so the
-    pattern is mean-free, then the result is projected to ``energy``.
-
-    With ``count``, one call returns ``count`` stimuli as the rows of a
-    (count, height * width) array, and ``alpha`` may be a sequence of
-    exponents: row ``i`` takes ``alpha[i % len(alpha)]``.  The rows, and
-    the state ``rng`` is left in, are those of ``count`` successive
-    single draws.
+    Row ``i`` has Fourier amplitude envelope ``f ** (-alpha)`` with
+    ``alpha = alphas[i % len(alphas)]``; ``alpha = 0`` gives white noise.
+    The DC bin is always zeroed so each pattern is mean-free, then each
+    row is projected to ``energy``.  The rows, and the state ``rng`` is
+    left in, are those of ``count`` successive calls at ``count=1``.
     """
-    alphas = tuple(alpha) if np.ndim(alpha) else (alpha,)
-    n = 1 if count is None else count
-    if n < 1 or not alphas:
+    alphas = tuple(alphas)
+    if count < 1 or not alphas:
         raise ValueError("need at least one stimulus and one exponent")
-    spectrum = np.fft.fft2(rng.standard_normal((n, height, width)))
+    spectrum = np.fft.fft2(rng.standard_normal((count, height, width)))
     freq = _radial_frequency(height, width)
     nonzero = freq > 0
     for k, a in enumerate(alphas):
@@ -232,7 +203,7 @@ def sample_pink_noise(
         envelope[nonzero] = freq[nonzero] ** (-a)
         spectrum[k :: len(alphas)] *= envelope
     # what project_sphere does to each row, with one finiteness check
-    shaped = np.ascontiguousarray(np.fft.ifft2(spectrum).real).reshape(n, height * width)
+    shaped = np.ascontiguousarray(np.fft.ifft2(spectrum).real).reshape(count, height * width)
     if not np.all(np.isfinite(shaped)):
         raise NonFiniteError("cannot project non-finite values")
     rows = np.empty_like(shaped)
@@ -241,8 +212,6 @@ def sample_pink_noise(
         if norm == 0.0:
             raise ZeroVectorError("cannot project the zero vector onto the sphere")
         np.multiply(pattern, energy / norm, out=row)
-    if count is None:
-        return Stimulus(values=rows[0], height=height, width=width, energy=energy)
     return rows
 
 
@@ -275,11 +244,6 @@ def angular_distance(x: Stimulus, y: Stimulus) -> float:
         raise ZeroVectorError("angular distance undefined for zero vectors")
     cosine = float(x.values @ y.values) / (nx * ny)
     return float(np.arccos(np.clip(cosine, -1.0, 1.0)))
-
-
-def average_energy(stimuli: StimulusSet) -> float:
-    """Mean Euclidean norm over the set (the shared energy budget)."""
-    return float(np.mean([np.linalg.norm(s.values) for s in stimuli.items]))
 
 
 # ---------------------------------------------------------------------------

@@ -459,15 +459,9 @@ def match_fitness(target: TargetHandle, reference_response: np.ndarray) -> Targe
 # default cascades and population sampling
 
 
-def default_l1_spec(weight_seed: int = 0, **level_overrides) -> SthorSpec:
+def default_l1_spec(weight_seed: int = 0) -> SthorSpec:
     """Single-level cascade on an 11x11 field (N=121)."""
-    level = LevelSpec(
-        kernel_size=7,
-        n_filters=32,
-        pool_size=5,
-        pool_stride=1,
-        **level_overrides,
-    )
+    level = LevelSpec(kernel_size=7, n_filters=32, pool_size=5, pool_stride=1)
     return SthorSpec(
         levels=(level,), top_layer_neurons=32, weight_seed=weight_seed, declared_input=11
     )

@@ -8,6 +8,7 @@ are session-scoped and shared: `unit_study` feeds criteria 5 and 6,
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,9 +258,7 @@ def test_criterion_3_constraint_audit(capsys, l2_bench):
         task, references = l2_bench["task"], l2_bench["references"]
         checked = 0
         for index in range(5):
-            config = BENCH_SEARCH.scaled(
-                seed=derive_int(BENCH_SEED, "network", index)
-            )
+            config = replace(BENCH_SEARCH, seed=derive_int(BENCH_SEED, "network", index))
             _, artifacts = characterize_population(
                 l2_bench["networks"][index], task, references, config,
                 unit_sample=1,

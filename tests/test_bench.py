@@ -253,7 +253,7 @@ class TestCharacterizeUnit:
             return network.batch(matrix)
 
         unit = unit_view(replace(network, batch=recording_batch), 4)
-        config = MICRO.scaled(path_budget_per_dim=2, subspace_runs=3)
+        config = replace(MICRO, path_budget_per_dim=2, subspace_runs=3)
         report, artifacts = characterize_unit(unit, config, task=small_task(), with_subspace=True)
         protocol_rows = rows[:]
 
@@ -412,6 +412,24 @@ class TestRunStudy:
         assert set(blob) == {"measures", "performance", "provenance"}
         assert set(blob["measures"]) == set(MeasureReport.FIELDS)
 
+    def test_interrupted_fd_write_leaves_no_fd_csv(self, tmp_path, monkeypatch):
+        def truncated(samples, path):
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write("series,del")
+                raise OSError("disk full")
+
+        monkeypatch.setattr("tunescope.bench.write_fd_csv", truncated)
+        targets, task, refs = study_fixtures(1)
+        store = tmp_path / "store"
+        with pytest.raises(OSError, match="disk full"):
+            run_study(targets, task, refs,
+                      BenchConfig(seed=1, search=MICRO, n_pairs=60, unit_sample=1,
+                                  store_dir=str(store)))
+        net = store / "network_000"
+        assert not (net / "fd.csv").exists()
+        assert not (net / "report.json").exists()
+        assert not list(net.glob(".*.tmp"))
+
     def test_recomputation_from_artifacts(self, tmp_path):
         targets, task, refs = study_fixtures(1)
         store = tmp_path / "store"
@@ -464,14 +482,14 @@ class TestRunStudy:
         fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
         config = BenchConfig(seed=1, search=MICRO, n_pairs=60, unit_sample=1)
 
-        run_study(targets, task, refs, config.scaled(store_dir=str(fresh)))
+        run_study(targets, task, refs, replace(config, store_dir=str(fresh)))
         # interrupted run: only the first network finished
-        run_study(targets[:1], task, refs, config.scaled(store_dir=str(resumed)))
+        run_study(targets[:1], task, refs, replace(config, store_dir=str(resumed)))
         marker = resumed / "network_000" / "report.json"
         stamp = marker.stat().st_mtime_ns
         # the config fingerprint pins the full population size
         (resumed / "study_config.json").unlink()
-        run_study(targets, task, refs, config.scaled(store_dir=str(resumed)))
+        run_study(targets, task, refs, replace(config, store_dir=str(resumed)))
         assert marker.stat().st_mtime_ns == stamp  # reused, not recomputed
         assert (fresh / "measures.csv").read_bytes() == (
             resumed / "measures.csv"
@@ -495,7 +513,7 @@ class TestRunStudy:
                              store_dir=str(store))
         run_study(targets, task, refs, config)
         with pytest.raises(ValueError):
-            run_study(targets, task, refs, config.scaled(seed=2))
+            run_study(targets, task, refs, replace(config, seed=2))
 
     def test_changed_network_ranges_rejected_on_resume(self, tmp_path):
         task = small_task()
@@ -511,7 +529,7 @@ class TestRunStudy:
             default_l1_spec(), 1, HyperRanges(pool_exponent=(10.0,)), seed=33
         )
         with pytest.raises(ValueError, match="different study config"):
-            run_study(changed, task, refs, config.scaled(resume=True))
+            run_study(changed, task, refs, replace(config, resume=True))
 
     def test_changed_task_rejected_on_resume(self, tmp_path):
         targets, task, refs = study_fixtures(1)
@@ -536,7 +554,7 @@ class TestRunStudy:
         report.write_bytes(finished[: len(finished) // 2])
         kept = store / "network_000" / "report.json"
         stamp = kept.stat().st_mtime_ns
-        run_study(targets, task, refs, config.scaled(resume=True))
+        run_study(targets, task, refs, replace(config, resume=True))
         assert report.read_bytes() == finished
         assert kept.stat().st_mtime_ns == stamp
         assert (store / "measures.csv").read_bytes() == measures
@@ -576,9 +594,9 @@ class TestRunStudy:
         sequential = tmp_path / "seq"
         parallel = tmp_path / "par"
         run_study(handles, task, refs,
-                  config.scaled(store_dir=str(sequential), workers=1))
+                  replace(config, store_dir=str(sequential), workers=1))
         run_study(handles, task, refs,
-                  config.scaled(store_dir=str(parallel), workers=2))
+                  replace(config, store_dir=str(parallel), workers=2))
         assert (sequential / "measures.csv").read_bytes() == (
             parallel / "measures.csv"
         ).read_bytes()
@@ -592,7 +610,7 @@ class TestRunStudy:
         stores = []
         for workers in (1, 2):
             store = tmp_path / f"workers{workers}"
-            config = config.scaled(store_dir=str(store), workers=workers)
+            config = replace(config, store_dir=str(store), workers=workers)
             result = run_study(views, task, refs, config)
             assert [report.provenance["unit_indices"] for report in result.reports] == [[0], [0]]
             files = sorted(path for path in store.rglob("*") if path.is_file())

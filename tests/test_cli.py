@@ -416,6 +416,21 @@ class TestBench:
         assert "unit_sample" in error_payload(capsys)["message"]
         assert not store.exists()
 
+    def test_n_pairs_below_two_in_study_config(self, tmp_path, capsys):
+        blob = dict(study_blob(), n_pairs=1)
+        store = tmp_path / "store"
+        assert main(["bench", "--config", self.write_config(tmp_path, blob),
+                     "--out", str(store), "--workers", "1"]) == 1
+        assert "n_pairs" in error_payload(capsys)["message"]
+        assert not store.exists()
+
+    def test_workers_below_one(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(["bench", "--config", self.write_config(tmp_path, study_blob()),
+                     "--out", str(store), "--workers", "-3"]) == 1
+        assert "workers" in error_payload(capsys)["message"]
+        assert not store.exists()
+
     def test_malformed_config_writes_nothing(self, tmp_path, capsys):
         config = tmp_path / "study.json"
         config.write_text('{"n_networks": ')
@@ -633,3 +648,13 @@ class TestReport:
 
     def test_missing_store_is_config_error(self, tmp_path, capsys):
         assert main(["report", "--store", str(tmp_path / "absent")]) == 1
+
+    @pytest.mark.parametrize("permutations", ["0", "-5"])
+    def test_permutations_below_one_is_config_error(self, tmp_path, capsys, permutations):
+        store = self.fabricate_store(tmp_path, n=10)
+        out = tmp_path / "rep"
+        assert main(["report", "--store", str(store), "--out", str(out),
+                     "--permutations", permutations]) == 1
+        assert "--permutations" in error_payload(capsys)["message"]
+        assert not out.exists()
+        assert not (store / "summary.json").exists()

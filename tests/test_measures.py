@@ -7,9 +7,7 @@ import pytest
 from tunescope.bench import _write_json
 from tunescope.errors import NonPositiveOptimumError, ZeroVarianceError
 from tunescope.measures import (
-    FitnessDistanceDiagram,
     MeasureReport,
-    SsimParams,
     build_fd_diagram,
     encoding_specificity,
     explanation_power,
@@ -179,22 +177,17 @@ class TestSsim:
         rng = np.random.default_rng(9)
         image_a = rng.standard_normal((16, 16))
         image_b = image_a + 0.3 * rng.standard_normal((16, 16))
-        params = SsimParams()
         lo = min(image_a.min(), image_b.min())
         hi = max(image_a.max(), image_b.max())
-        expected = naive_ssim(
-            image_a, image_b, params.window_size, params.sigma, params.k1, params.k2,
-            hi - lo,
-        )
+        expected = naive_ssim(image_a, image_b, 11, 1.5, 0.01, 0.03, hi - lo)
         assert ssim(stim(image_a), stim(image_b)) == pytest.approx(expected, abs=1e-9)
 
     def test_pinned_range_matches_oracle(self):
         rng = np.random.default_rng(10)
         image_a = rng.standard_normal((13, 13))
         image_b = rng.standard_normal((13, 13))
-        params = SsimParams(dynamic_range=2.5)
         expected = naive_ssim(image_a, image_b, 11, 1.5, 0.01, 0.03, 2.5)
-        assert ssim(stim(image_a), stim(image_b), params) == pytest.approx(
+        assert ssim(stim(image_a), stim(image_b), 2.5) == pytest.approx(
             expected, abs=1e-9
         )
 
@@ -213,10 +206,6 @@ class TestSsim:
         # so negation flips only the structure term
         image = np.tile(np.tile([1.0, -1.0], 8), (16, 1))
         assert ssim(stim(image), stim(-image)) < -0.9
-
-    def test_even_window_rejected(self):
-        with pytest.raises(ValueError):
-            SsimParams(window_size=10)
 
 
 class TestEncodingSpecificity:
@@ -239,8 +228,7 @@ class TestEncodingSpecificity:
         rng = np.random.default_rng(13)
         ref = stim(rng.standard_normal((12, 12)))
         recs = [stim(rng.standard_normal((12, 12))) for _ in range(3)]
-        params = SsimParams(dynamic_range=float(np.ptp(ref.values)))
-        expected = np.mean([ssim(ref, r, params) for r in recs])
+        expected = np.mean([ssim(ref, r, float(np.ptp(ref.values))) for r in recs])
         assert encoding_specificity(self.make_set(ref, recs)) == pytest.approx(
             expected, abs=1e-12
         )
@@ -252,7 +240,7 @@ class TestEncodingSpecificity:
         ref = stim(rng.standard_normal((12, 12)))
         rec = stim(10.0 * rng.standard_normal((12, 12)))
         pinned = encoding_specificity(self.make_set(ref, [rec]))
-        joint = ssim(ref, rec)  # default params, joint range
+        joint = ssim(ref, rec)  # default: the joint range
         assert pinned != pytest.approx(joint, abs=1e-6)
 
 
@@ -464,33 +452,30 @@ class TestFitnessDistanceDiagram:
         inv = path([0.9, 0.8, 0.7, 0.5, 0.2], kind="invariance")
         sel = path([0.8, 0.5, 0.3, 0.2, 0.1], kind="selectivity")
         walks = [(DELTAS[0], 0.95), (DELTAS[0], 0.85), (DELTAS[1], 0.6)]
-        diagram = build_fd_diagram([inv, sel], walks=walks, optimum_fitness=2.0)
-        assert len(diagram.samples) == 13
-        assert diagram.series_deltas("random_walk") == (DELTAS[0], DELTAS[1])
-        assert diagram.series_mean("random_walk", DELTAS[0]) == pytest.approx(0.9)
-        assert diagram.series_mean("invariance", DELTAS[3]) == pytest.approx(0.5)
-        assert diagram.normalized_mean("selectivity", DELTAS[0]) == pytest.approx(0.4)
+        rows = build_fd_diagram([inv, sel], walks)
+        assert len(rows) == 13
+        assert rows[:5] == tuple((d, f, "invariance") for d, f in zip(DELTAS, inv.fitnesses))
+        assert rows[5:10] == tuple((d, f, "selectivity") for d, f in zip(DELTAS, sel.fitnesses))
+        assert rows[10:] == tuple((d, f, "random_walk") for d, f in walks)
 
     def test_repeated_paths_average(self):
         first = path([1.0, 1.0, 1.0, 1.0, 1.0])
         second = path([0.0, 0.0, 0.0, 0.0, 0.0])
-        diagram = build_fd_diagram([first, second])
+        rows = build_fd_diagram([first, second], None)
         for delta in DELTAS:
-            assert diagram.series_mean("invariance", delta) == pytest.approx(0.5)
-
-    def test_missing_series_rejected(self):
-        diagram = build_fd_diagram([path([1.0] * 5)])
-        with pytest.raises(ValueError):
-            diagram.series_mean("selectivity", DELTAS[0])
+            at_delta = [f for d, f, series in rows if d == delta and series == "invariance"]
+            assert np.mean(at_delta) == pytest.approx(0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            build_fd_diagram([])
+            build_fd_diagram([], None)
+        with pytest.raises(ValueError):
+            build_fd_diagram([], [])
 
     def test_csv_layout(self, tmp_path):
-        diagram = build_fd_diagram([path([0.9, 0.8, 0.7, 0.5, 0.2])])
+        rows = build_fd_diagram([path([0.9, 0.8, 0.7, 0.5, 0.2])], None)
         out = tmp_path / "curve.csv"
-        write_fd_csv(diagram, out)
+        write_fd_csv(rows, out)
         lines = out.read_text().splitlines()
         assert lines[0] == "series,delta,fitness"
         assert len(lines) == 6

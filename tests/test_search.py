@@ -76,7 +76,7 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"outside \(0, pi\]"):
             SearchConfig(**bad)
         with pytest.raises(ValueError, match=r"outside \(0, pi\]"):
-            FAST.scaled(**bad)
+            replace(FAST, **bad)
 
     def test_cone_angle_of_pi_accepted(self):
         assert SearchConfig(deltas=(np.pi,), subspace_delta=np.pi).deltas == (np.pi,)
@@ -126,7 +126,7 @@ class TestObjectives:
         objective = cone_search_objective(target, w, delta, rng)
         raw = rng.standard_normal(16)
         batch_row = objective.project_batch(raw[None, :])[0]
-        scalar = project_cone_batch(raw[None, :], w, delta)[0]
+        scalar = project_cone_batch(raw[None, :], w, delta, np.random.default_rng(0))[0]
         assert np.allclose(batch_row, scalar, atol=1e-12)
 
 
@@ -164,7 +164,7 @@ class TestOptimalStimulus:
         first = optimal_stimulus(target, FAST)
         second = optimal_stimulus(target, FAST)
         assert np.array_equal(first.x_hat.values, second.x_hat.values)
-        other = optimal_stimulus(target, FAST.scaled(seed=999))
+        other = optimal_stimulus(target, replace(FAST, seed=999))
         assert not np.array_equal(first.x_hat.values, other.x_hat.values)
 
     def test_vector_target_rejected(self):
@@ -230,7 +230,9 @@ class TestPaths:
         assert len(starts) == len(result.deltas)
         for k in range(1, len(result.deltas)):
             previous = result.points[k - 1]
-            expected = project_cone_batch(previous.values[None, :], x_hat, result.deltas[k])[0]
+            expected = project_cone_batch(
+                previous.values[None, :], x_hat, result.deltas[k], np.random.default_rng(0)
+            )[0]
             assert np.allclose(starts[k], expected, atol=1e-9)
 
     def test_deterministic_per_seed(self):
@@ -269,7 +271,7 @@ class TestSubspaceSample:
         second = subspace_sample(target, x_hat, FAST)
         for a, b in zip(first.columns, second.columns):
             assert np.array_equal(a.values, b.values)
-        other = subspace_sample(target, x_hat, FAST.scaled(seed=5))
+        other = subspace_sample(target, x_hat, replace(FAST, seed=5))
         assert not np.array_equal(first.columns[0].values, other.columns[0].values)
 
     def test_selectivity_kind(self):
@@ -432,8 +434,8 @@ class TestLockstepProcedures:
         rows = []
         network = recording_network(rows)
         x_star = unit_stim(np.cos(np.arange(121.0)), 11, 11)
-        unit_config = LOCKSTEP.scaled(seed=8)
-        match_config = LOCKSTEP.scaled(seed=9)
+        unit_config = replace(LOCKSTEP, seed=8)
+        match_config = replace(LOCKSTEP, seed=9)
         target = match_fitness(network, NETWORK.evaluate(unit_stim(np.ones(121), 11, 11)))
         plans = [
             optimal_plan(unit_view(network, 5), unit_config),
@@ -466,9 +468,9 @@ class TestLockstepProcedures:
             # two two-round paths beside two one-round plans
             return [
                 path_plan(target, x_hat, LOCKSTEP, "invariance"),
-                path_plan(target, x_hat, LOCKSTEP, "selectivity", run_index=1),
+                path_plan(target, x_hat, LOCKSTEP, "selectivity"),
                 subspace_plan(target, x_hat, LOCKSTEP, "invariance"),
-                optimal_plan(unit_view(network, 5), LOCKSTEP.scaled(seed=8)),
+                optimal_plan(unit_view(network, 5), replace(LOCKSTEP, seed=8)),
             ]
 
         rows.clear()

@@ -141,6 +141,17 @@ class TestBudgetAndTrace:
         assert trace.evaluations_used <= 500
         assert trace.evaluations_used + lam > 500  # budget actually exhausted
 
+    def test_budget_below_one_generation_rejected(self):
+        calls = []
+        objective = sphere_objective(lambda x: calls.append(len(x)) or x[:, 0], (4, 4))
+        x0 = start_point(16, (4, 4), seed=15)
+        lam = default_population_size(16)
+        with pytest.raises(ValueError, match="one generation"):
+            maximize(objective, x0, SolverConfig(max_evaluations=lam - 1))
+        assert calls == []  # rejected before the start point is scored
+        _, trace = maximize(objective, x0, SolverConfig(max_evaluations=lam + 1))
+        assert trace.generations == 1
+
     def test_best_history_monotone_nondecreasing(self):
         n = 9
         objective = linear_objective(np.arange(1.0, n + 1), (3, 3))
@@ -168,8 +179,8 @@ class TestSeededInit:
         objective = linear_objective(np.ones(4), (2, 2))
         rng = np.random.default_rng(25)
         best, fitness, used = seeded_init(objective, 1, (0.0,), rng)
-        expected = sample_pink_noise(2, 2, 0.0, 1.0, np.random.default_rng(25))
-        np.testing.assert_allclose(best.values, expected.values, rtol=0, atol=1e-12)
+        expected = sample_pink_noise(2, 2, (0.0,), 1.0, np.random.default_rng(25), count=1)[0]
+        np.testing.assert_allclose(best.values, expected, rtol=0, atol=1e-12)
         assert used == 1
 
     def test_argmax_over_all_candidates(self):
@@ -181,8 +192,8 @@ class TestSeededInit:
         replay = np.random.default_rng(26)
         candidate_fitness = []
         for i in range(200):
-            stim = sample_pink_noise(4, 4, alpha_set[i % 5], 1.0, replay)
-            candidate_fitness.append(float(stim.values @ w))
+            row = sample_pink_noise(4, 4, (alpha_set[i % 5],), 1.0, replay, count=1)[0]
+            candidate_fitness.append(float(row @ w))
         assert fitness == pytest.approx(max(candidate_fitness), abs=1e-12)
         assert all(fitness >= cf for cf in candidate_fitness)
 
@@ -385,7 +396,7 @@ class TestCholeskyFactor:
 
 def reference_search(objective, x0, config, sign):
     """The one-search generation loop the lockstep runner replaced."""
-    lam = config.resolved_population_size(x0.size)
+    lam = default_population_size(x0.size)
     trace = SearchTrace()
     strategy = _Strategy(
         x0.values, config.initial_step * x0.energy, lam, np.random.default_rng(config.seed)

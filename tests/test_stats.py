@@ -285,6 +285,12 @@ class TestPermutationTest:
         with pytest.raises(ValueError):
             permutation_test([1.0, 2.0], [3.0, 4.0], statistic="median_diff")
 
+    @pytest.mark.parametrize("statistic", ["mean_diff", "slope"])
+    @pytest.mark.parametrize("n_perm", [0, -5])
+    def test_fewer_than_one_draw_rejected(self, statistic, n_perm):
+        with pytest.raises(ValueError, match="n_perm"):
+            permutation_test([1.0, 2.0], [3.0, 5.0], statistic=statistic, n_perm=n_perm)
+
 
 class TestDPrime:
     def test_identical_groups(self):

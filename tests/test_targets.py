@@ -44,13 +44,15 @@ class TestLinearNeuron:
         target = linear_neuron(w)
         x = project_sphere(rng.standard_normal(16), 1.0, (4, 4))
         for delta in (0.1 * np.pi, 0.3 * np.pi, 0.5 * np.pi):
-            on_cone = w.replace_values(project_cone_batch(x.values[None, :], w, delta)[0])
+            row = project_cone_batch(x.values[None, :], w, delta, np.random.default_rng(0))[0]
+            on_cone = Stimulus.from_values(row, 4, 4)
             assert target.evaluate(on_cone)[0] == pytest.approx(np.cos(delta), abs=1e-9)
 
     def test_antipode_response(self):
         w = unit_stimulus([3, 4], 1, 2)
         target = linear_neuron(w)
-        assert target.evaluate(w.replace_values(-w.values))[0] == pytest.approx(-1.0, abs=1e-12)
+        antipode = Stimulus.from_values(-w.values, 1, 2)
+        assert target.evaluate(antipode)[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_norm_precondition(self):
         bad = Stimulus.from_values(np.array([1.0, 1.0]), 1, 2)
