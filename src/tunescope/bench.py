@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_artifact, write_json
 from .errors import DegenerateSplitError
 from .measures import (
     MeasureReport,
@@ -405,7 +404,6 @@ class BenchConfig:
     n_pairs: int = 200
     unit_sample: int = 2
     store_dir: str | None = None
-    resume: bool = True
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -461,52 +459,18 @@ def _network_dir(store: Path, index: int) -> Path:
     return store / f"network_{index:03d}"
 
 
-@contextmanager
-def _atomic_write(path: Path):
-    """Yield a temporary sibling of ``path`` to write; it replaces ``path``
-    only when the block finishes, so a killed run never leaves a partial
-    ``path`` behind."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Path):
-        return str(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _write_json(path: Path, blob) -> None:
-    """The one JSON artifact writer: sorted keys, atomic replace."""
-    with _atomic_write(path) as tmp, open(tmp, "w", encoding="ascii") as fh:
-        json.dump(blob, fh, indent=2, sort_keys=True, default=_jsonable)
-        fh.write("\n")
-
-
 def _write_network_artifacts(
     net_dir: Path, performance: float, report: MeasureReport, artifacts: dict
 ) -> None:
-    net_dir.mkdir(parents=True, exist_ok=True)
-    with _atomic_write(net_dir / "x_hat.csv") as tmp:
-        write_stimulus_csv(artifacts["x_hat"], tmp)
-    with _atomic_write(net_dir / "x_hat.pgm") as tmp:
-        write_stimulus_pgm(artifacts["x_hat"], tmp)
-    with _atomic_write(net_dir / "fd.csv") as tmp:
-        write_fd_csv(build_fd_diagram(artifacts["paths"], None), tmp)
+    write_stimulus_csv(artifacts["x_hat"], net_dir / "x_hat.csv")
+    write_stimulus_pgm(artifacts["x_hat"], net_dir / "x_hat.pgm")
+    write_fd_csv(build_fd_diagram(artifacts["paths"], None), net_dir / "fd.csv")
     blob = {
         "measures": report.as_dict(),
         "performance": performance,
         "provenance": report.provenance,
     }
-    _write_json(net_dir / "report.json", blob)
+    write_json(net_dir / "report.json", blob)
 
 
 def _load_network(net_dir: Path) -> tuple[float, MeasureReport] | None:
@@ -599,12 +563,12 @@ def _float_cell(value) -> str:
 
 
 def write_measures_csv(path, performances, reports) -> None:
-    with _atomic_write(Path(path)) as tmp, open(tmp, "w", encoding="ascii") as fh:
-        fh.write("network,performance," + ",".join(MeasureReport.FIELDS) + "\n")
-        for index, (performance, report) in enumerate(zip(performances, reports)):
-            cells = [str(index), repr(float(performance))]
-            cells += [_float_cell(getattr(report, name)) for name in MeasureReport.FIELDS]
-            fh.write(",".join(cells) + "\n")
+    lines = ["network,performance," + ",".join(MeasureReport.FIELDS)]
+    for index, (performance, report) in enumerate(zip(performances, reports)):
+        cells = [str(index), repr(float(performance))]
+        cells += [_float_cell(getattr(report, name)) for name in MeasureReport.FIELDS]
+        lines.append(",".join(cells))
+    write_artifact(path, "\n".join(lines) + "\n")
 
 
 def correlation_stage(
@@ -623,10 +587,9 @@ def correlation_stage(
         rows, summary["all_r2"] = correlation_table(reports, performances, seed=seed, n_perm=n_perm)
         summary["correlations"] = list(rows)
         if out is not None:
-            with _atomic_write(out / "correlation.csv") as tmp:
-                write_correlation_csv(list(rows), tmp)
+            write_correlation_csv(list(rows), out / "correlation.csv")
     if out is not None:
-        _write_json(out / "summary.json", summary)
+        write_json(out / "summary.json", summary)
     return rows, summary["all_r2"]
 
 
@@ -652,7 +615,6 @@ def run_study(
         raise ValueError("empty population")
     store = None if config.store_dir is None else Path(config.store_dir)
     if store is not None:
-        store.mkdir(parents=True, exist_ok=True)
         fingerprint = _study_fingerprint(population, task, references, config)
         fp_path = store / "study_config.json"
         if fp_path.exists():
@@ -662,7 +624,7 @@ def run_study(
                         f"artifact store {store} was built with a different study config"
                     )
         else:
-            _write_json(fp_path, fingerprint)
+            write_json(fp_path, fingerprint)
 
     split_seed = derive_int(config.seed, "pairs")
     results: dict[int, tuple[float, MeasureReport]] = {}
@@ -670,7 +632,7 @@ def run_study(
     jobs = []
     for index, target in enumerate(population):
         net_dir = None if store is None else _network_dir(store, index)
-        if net_dir is not None and config.resume:
+        if net_dir is not None:
             loaded = _load_network(net_dir)
             if loaded is not None:
                 results[index] = loaded

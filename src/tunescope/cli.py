@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_artifact, write_json
 from .bench import (
     MIN_NETWORKS_FOR_TABLE,
     BenchConfig,
     TaskSpec,
-    _write_json,
     characterize_population,
     characterize_unit,
     collect_reports,
@@ -204,11 +204,9 @@ def _check_task_shape(target: TargetHandle, task: StimulusSet | None) -> None:
 def _write_matrix_csv(path: Path, stimuli) -> None:
     """Many stimuli in one file: a shape line, then one row per stimulus."""
     first = stimuli[0]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("height,width,count\n")
-        fh.write(f"{first.height},{first.width},{len(stimuli)}\n")
-        for stimulus in stimuli:
-            fh.write(",".join(f"{float(v)!r}" for v in stimulus.values) + "\n")
+    lines = ["height,width,count", f"{first.height},{first.width},{len(stimuli)}"]
+    lines += [",".join(f"{float(v)!r}" for v in stimulus.values) for stimulus in stimuli]
+    write_artifact(path, "\n".join(lines) + "\n")
 
 
 def _write_run_json(run: RunConfig, extra: dict | None = None) -> None:
@@ -222,13 +220,13 @@ def _write_run_json(run: RunConfig, extra: dict | None = None) -> None:
     }
     if extra:
         blob.update(extra)
-    _write_json(run.out / "run.json", blob)
+    write_json(run.out / "run.json", blob)
 
 
 def _write_optimal(out: Path, optimal) -> None:
     write_stimulus_csv(optimal.x_hat, out / "x_hat.csv")
     write_stimulus_pgm(optimal.x_hat, out / "x_hat.pgm")
-    _write_json(
+    write_json(
         out / "optimal.json",
         {
             "fitness": optimal.fitness,
@@ -283,6 +281,8 @@ def _resolve_target_command(args, subcommand: str) -> RunConfig:
         raise ValueError("population-level measure needs --task")
     options = {}
     if hasattr(args, "walks"):
+        if args.walks < 0:
+            raise ValueError(f"--walks is {args.walks}; it must be at least 0")
         options["walks"] = args.walks
     if subcommand == "measure":
         if args.unit_sample < 1:
@@ -363,7 +363,6 @@ def _resolve_bench(args) -> RunConfig:
         n_pairs=int(blob.get("n_pairs", 200)),
         unit_sample=int(blob.get("unit_sample", 2)),
         store_dir=str(store),
-        resume=args.resume,
         workers=args.workers,
     )
     return RunConfig(
@@ -407,10 +406,9 @@ def cmd_gen_net(run: RunConfig) -> None:
     spec = run.options["spec"]
     handle = sthor_network(spec)
     out = run.out
-    out.mkdir(parents=True, exist_ok=True)
     write_network_weights(handle.meta["kernels"], out / "weights.bin")
     side = spec.input_shape[0]
-    _write_json(
+    write_json(
         out / "manifest.json",
         {
             "input_shape": list(spec.input_shape),
@@ -455,7 +453,7 @@ def _emit_subspace(run: RunConfig, samples: dict) -> None:
         for kind, sample in samples.items():
             raw, normalized = subspace_alignment(sample, run.task)
             blob[f"{kind}_alignment"] = {"raw": raw, "normalized": normalized}
-    _write_json(run.out / "subspace.json", blob)
+    write_json(run.out / "subspace.json", blob)
 
 
 def cmd_characterize(run: RunConfig) -> None:
@@ -465,10 +463,9 @@ def cmd_characterize(run: RunConfig) -> None:
     )
     optimal = artifacts["optimal"]
     walks = _walks_for(run, target, optimal.x_hat)
-    run.out.mkdir(parents=True, exist_ok=True)
     _emit_paths(run, optimal, artifacts["paths"], walks)
     _emit_subspace(run, artifacts["subspace"])
-    _write_json(run.out / "report.json", report_to_json(report))
+    write_json(run.out / "report.json", report_to_json(report))
     _write_run_json(run)
     print(f"optimum_fitness: {optimal.fitness!r}")
     _print_report(report)
@@ -479,7 +476,6 @@ def cmd_paths(run: RunConfig) -> None:
     _, artifacts = characterize_unit(target, run.search)
     optimal = artifacts["optimal"]
     walks = _walks_for(run, target, optimal.x_hat)
-    run.out.mkdir(parents=True, exist_ok=True)
     _emit_paths(run, optimal, artifacts["paths"], walks)
     _write_run_json(run)
     print(f"optimum_fitness: {optimal.fitness!r}")
@@ -492,7 +488,6 @@ def cmd_subspace(run: RunConfig) -> None:
     kinds = ("invariance", "selectivity")
     plans = [subspace_plan(target, optimal.x_hat, run.search, kind) for kind in kinds]
     samples = dict(zip(kinds, run_plans(plans)))
-    run.out.mkdir(parents=True, exist_ok=True)
     _write_optimal(run.out, optimal)
     _emit_subspace(run, samples)
     _write_run_json(run)
@@ -503,7 +498,6 @@ def cmd_subspace(run: RunConfig) -> None:
 def cmd_encode(run: RunConfig) -> None:
     references = run.options["references"]
     recon_sets = run_plans(encode_plans(run.target, references, run.search))
-    run.out.mkdir(parents=True, exist_ok=True)
     per_reference = []
     scores = []
     for i, (reference, recons) in enumerate(zip(references, recon_sets)):
@@ -526,7 +520,7 @@ def cmd_encode(run: RunConfig) -> None:
         )
         scores.append(specificity)
     tses = float(np.mean(scores))
-    _write_json(run.out / "encode.json", {"per_reference": per_reference, "tses": tses})
+    write_json(run.out / "encode.json", {"per_reference": per_reference, "tses": tses})
     _write_run_json(run)
     print(f"references: {len(references)}")
     print(f"tses: {tses!r}")
@@ -546,10 +540,9 @@ def cmd_measure(run: RunConfig) -> None:
             unit_sample=run.options["unit_sample"],
         )
         x_hat = artifacts["x_hat"]
-    run.out.mkdir(parents=True, exist_ok=True)
     write_stimulus_csv(x_hat, run.out / "x_hat.csv")
     write_stimulus_pgm(x_hat, run.out / "x_hat.pgm")
-    _write_json(run.out / "report.json", report_to_json(report))
+    write_json(run.out / "report.json", report_to_json(report))
     _write_run_json(run)
     _print_report(report)
 
@@ -569,7 +562,6 @@ def cmd_bench(run: RunConfig) -> None:
 
 def cmd_report(run: RunConfig) -> None:
     performances, reports = collect_reports(run.options["store"])
-    run.out.mkdir(parents=True, exist_ok=True)
     _, all_r2 = correlation_stage(
         run.out, reports, performances, run.seed, n_perm=run.options["permutations"]
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_artifact
 from .errors import NonPositiveOptimumError, ZeroVectorError, ZeroVarianceError
 from .search import PathResult, ReconstructionSet, SubspaceSample
 from .stimulus import Stimulus, StimulusSet
@@ -285,10 +286,8 @@ def build_fd_diagram(
 
 
 def write_fd_csv(samples: tuple[tuple[float, float, str], ...], path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("series,delta,fitness\n")
-        for delta, fitness, series in samples:
-            fh.write(f"{series},{delta!r},{fitness!r}\n")
+    rows = "".join(f"{series},{delta!r},{fitness!r}\n" for delta, fitness, series in samples)
+    write_artifact(path, "series,delta,fitness\n" + rows)
 
 
 def report_to_json(report: MeasureReport) -> dict:

@@ -12,6 +12,7 @@ from math import comb, factorial
 
 import numpy as np
 
+from .artifacts import write_artifact
 from .errors import RankDeficientError, ZeroVarianceError
 
 __all__ = [
@@ -241,10 +242,9 @@ def write_correlation_csv(rows: list[dict], path) -> None:
     def cell(value) -> str:
         return "" if value is None else repr(value)
 
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("measure,spearman,pearson,p_perm\n")
-        for row in rows:
-            fh.write(
-                f"{row['measure']},{cell(row['spearman'])},"
-                f"{cell(row['pearson'])},{cell(row['p_perm'])}\n"
-            )
+    lines = ["measure,spearman,pearson,p_perm"]
+    lines += [
+        f"{row['measure']},{cell(row['spearman'])},{cell(row['pearson'])},{cell(row['p_perm'])}"
+        for row in rows
+    ]
+    write_artifact(path, "\n".join(lines) + "\n")

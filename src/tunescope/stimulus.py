@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import write_artifact
 from .errors import EmptySetError, ImprobableFailureError, NonFiniteError, ZeroVectorError
 
 __all__ = [
@@ -252,11 +253,9 @@ def angular_distance(x: Stimulus, y: Stimulus) -> float:
 
 def write_stimulus_csv(stimulus: Stimulus, path) -> None:
     """Flat CSV: first line ``height,width``, second line energy, then values."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{stimulus.height},{stimulus.width}\n")
-        fh.write(f"{float(stimulus.energy)!r}\n")
-        for v in stimulus.values:
-            fh.write(f"{float(v)!r}\n")
+    lines = [f"{stimulus.height},{stimulus.width}", f"{float(stimulus.energy)!r}"]
+    lines += [f"{float(v)!r}" for v in stimulus.values]
+    write_artifact(path, "\n".join(lines) + "\n")
 
 
 def read_stimulus_csv(path) -> Stimulus:
@@ -277,6 +276,5 @@ def write_stimulus_pgm(stimulus: Stimulus, path) -> None:
     else:
         scaled = np.zeros_like(image)
     data = scaled.astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{stimulus.width} {stimulus.height}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    header = f"P5\n{stimulus.width} {stimulus.height}\n255\n".encode("ascii")
+    write_artifact(path, header + data.tobytes())

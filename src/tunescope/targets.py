@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from .artifacts import write_artifact
 from .errors import GeometryError
 from .seeds import derive_seed
 from .stimulus import Stimulus
@@ -579,12 +580,11 @@ def spec_from_json(blob: dict) -> SthorSpec:
 
 def write_network_weights(kernels: list[np.ndarray], path) -> None:
     """Binary kernel dump: 16-byte header, then per-level shape + data."""
-    with open(path, "wb") as fh:
-        fh.write(_WEIGHTS_MAGIC)
-        fh.write(struct.pack("<II", _WEIGHTS_VERSION, len(kernels)))
-        for w in kernels:
-            fh.write(struct.pack("<IIII", *w.shape))
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
+    chunks = [_WEIGHTS_MAGIC, struct.pack("<II", _WEIGHTS_VERSION, len(kernels))]
+    for w in kernels:
+        chunks.append(struct.pack("<IIII", *w.shape))
+        chunks.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
+    write_artifact(path, b"".join(chunks))
 
 
 def read_network_weights(path) -> list[np.ndarray]:

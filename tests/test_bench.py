@@ -412,13 +412,8 @@ class TestRunStudy:
         assert set(blob) == {"measures", "performance", "provenance"}
         assert set(blob["measures"]) == set(MeasureReport.FIELDS)
 
-    def test_interrupted_fd_write_leaves_no_fd_csv(self, tmp_path, monkeypatch):
-        def truncated(samples, path):
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write("series,del")
-                raise OSError("disk full")
-
-        monkeypatch.setattr("tunescope.bench.write_fd_csv", truncated)
+    def test_interrupted_fd_write_leaves_no_fd_csv(self, tmp_path, fail_write_of):
+        fail_write_of("fd.csv")
         targets, task, refs = study_fixtures(1)
         store = tmp_path / "store"
         with pytest.raises(OSError, match="disk full"):
@@ -529,7 +524,7 @@ class TestRunStudy:
             default_l1_spec(), 1, HyperRanges(pool_exponent=(10.0,)), seed=33
         )
         with pytest.raises(ValueError, match="different study config"):
-            run_study(changed, task, refs, replace(config, resume=True))
+            run_study(changed, task, refs, config)
 
     def test_changed_task_rejected_on_resume(self, tmp_path):
         targets, task, refs = study_fixtures(1)
@@ -554,7 +549,7 @@ class TestRunStudy:
         report.write_bytes(finished[: len(finished) // 2])
         kept = store / "network_000" / "report.json"
         stamp = kept.stat().st_mtime_ns
-        run_study(targets, task, refs, replace(config, resume=True))
+        run_study(targets, task, refs, config)
         assert report.read_bytes() == finished
         assert kept.stat().st_mtime_ns == stamp
         assert (store / "measures.csv").read_bytes() == measures

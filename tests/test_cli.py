@@ -239,6 +239,18 @@ class TestCharacterize:
 
 
 class TestPathsAndSubspace:
+    @pytest.mark.parametrize("command", ["characterize", "paths"])
+    def test_negative_walks_is_config_error(self, tmp_path, capsys, micro_config, command):
+        out = tmp_path / "out"
+        argv = [command, "--target", "linear", "--shape", "4", "--seed", "3",
+                "--config", micro_config, "--out", str(out)]
+        assert main([*argv, "--walks", "-5"]) == 1
+        assert "--walks" in error_payload(capsys)["message"]
+        assert not out.exists()
+        assert main([*argv, "--walks", "0"]) == 0
+        rows = (out / "fd.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {"invariance", "selectivity"}
+
     def test_paths_bundle(self, tmp_path, capsys, micro_config):
         out = tmp_path / "paths"
         assert main(["paths", "--target", "linear", "--shape", "4",
@@ -594,7 +606,7 @@ class TestReport:
         assert summary["all_r2"] == float(all_row[2])
 
     @pytest.mark.parametrize("name", ["summary.json", "correlation.csv", "report.json"])
-    def test_interrupted_write_keeps_previous_file(self, tmp_path, capsys, monkeypatch,
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, capsys, fail_write_of,
                                                     micro_config, name):
         if name == "report.json":
             out = tmp_path / "char"
@@ -605,26 +617,7 @@ class TestReport:
             argv = ["report", "--store", str(out), "--seed", "1", "--permutations", "50"]
         assert main(argv) == 0
         previous = (out / name).read_bytes()
-
-        def truncated(fh):
-            fh.write("measure,spe")
-            raise OSError("disk full")
-
-        def truncated_csv(rows, path):
-            with open(path, "w", encoding="ascii") as fh:
-                truncated(fh)
-
-        if name == "correlation.csv":
-            monkeypatch.setattr("tunescope.bench.write_correlation_csv", truncated_csv)
-        else:
-            dump = json.dump
-
-            def dump_failing_on_name(blob, fh, **kw):
-                if name in Path(fh.name).name:
-                    truncated(fh)
-                dump(blob, fh, **kw)
-
-            monkeypatch.setattr(json, "dump", dump_failing_on_name)
+        fail_write_of(name)
         assert main(argv) == 2
         assert (out / name).read_bytes() == previous
         assert not list(out.glob(".*.tmp"))

@@ -16,6 +16,7 @@ that alters the bytes on purpose re-records them and says why.
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +64,7 @@ def running_build() -> dict:
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
-def test_artifact_bytes_match_golden(tmp_path, monkeypatch, capsys):
+def run_commands(tmp_path, monkeypatch) -> None:
     # relative paths only, so no file records where the run took place
     monkeypatch.chdir(tmp_path)
     Path("search.json").write_text(json.dumps(SEARCH))
@@ -71,6 +72,10 @@ def test_artifact_bytes_match_golden(tmp_path, monkeypatch, capsys):
     Path("study.json").write_text(json.dumps(STUDY))
     for argv in COMMANDS:
         assert main(argv) == 0, argv
+
+
+def test_artifact_bytes_match_golden(tmp_path, monkeypatch, capsys):
+    run_commands(tmp_path, monkeypatch)
     digests = {
         path.relative_to("out").as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(Path("out").rglob("*"))
@@ -88,3 +93,20 @@ def test_artifact_bytes_match_golden(tmp_path, monkeypatch, capsys):
         f"this run is numpy {build['numpy']} with {build['blas']}. "
         f"Files that differ: {changed}. This run:\n{table}"
     )
+
+
+def test_every_file_is_renamed_into_place(tmp_path, monkeypatch, capsys):
+    """Each command's files reach ``--out`` only by an atomic rename."""
+    renamed = set()
+    replace = os.replace
+
+    def spy(src, dst):
+        replace(src, dst)
+        renamed.add(Path(dst).resolve())
+
+    monkeypatch.setattr(os, "replace", spy)
+    run_commands(tmp_path, monkeypatch)
+    written = [path for path in Path("out").rglob("*") if path.is_file()]
+    assert written
+    assert not [path for path in written if path.resolve() not in renamed]
+    assert not list(Path("out").rglob(".*.tmp"))

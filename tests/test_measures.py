@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tunescope.bench import _write_json
+from tunescope.artifacts import write_json
 from tunescope.errors import NonPositiveOptimumError, ZeroVarianceError
 from tunescope.measures import (
     MeasureReport,
@@ -504,7 +504,7 @@ class TestMeasureReport:
             ossc=0.5, osep=0.9, provenance={"seed": 3, "target": "demo"}
         )
         out = tmp_path / "report.json"
-        _write_json(out, report_to_json(report))
+        write_json(out, report_to_json(report))
         with open(out) as fh:
             blob = json.load(fh)
         assert blob == report_to_json(report)
