@@ -3,8 +3,9 @@
 Pins the sha256 of every file that a tiny run of the command line
 writes: a one-level cascade from ``gen-net``; ``characterize``,
 ``paths`` and ``subspace`` on one of its units; ``encode`` of two
-references through the whole cascade; and a ten-network ``bench`` store
-(so the correlation stage runs).  Budgets are cut to a few generations per
+references through the whole cascade; a ten-network ``bench`` store
+(so the correlation stage runs); ``measure`` under both the unit and the
+population protocol; and a ``report`` re-read of that store.  Budgets are cut to a few generations per
 search so the whole run takes seconds.
 
 Float bytes depend on the numpy and BLAS build, so ``golden_sha256.json``
@@ -54,6 +55,13 @@ COMMANDS = (
     ["encode", "--target", "out/net", "--task", "task.json", "--references", "2",
      "--seed", "3", "--config", "search.json", "--out", "out/encode"],
     ["bench", "--config", "study.json", "--out", "out/store", "--workers", "1"],
+    ["measure", "--target", "out/net", "--unit", "3", "--task", "task.json",
+     "--seed", "3", "--config", "search.json", "--out", "out/measure_unit"],
+    ["measure", "--target", "out/net", "--task", "task.json", "--references", "2",
+     "--unit-sample", "1", "--seed", "3", "--config", "search.json",
+     "--out", "out/measure_pop"],
+    ["report", "--store", "out/store", "--seed", "4", "--permutations", "200",
+     "--out", "out/report"],
 )
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_sha256.json").read_text())
