@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
+from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -68,39 +70,7 @@ from .targets import (
     write_network_weights,
 )
 
-__all__ = [
-    "RunConfig",
-    "main",
-    "cmd_gen_net",
-    "cmd_characterize",
-    "cmd_paths",
-    "cmd_subspace",
-    "cmd_encode",
-    "cmd_measure",
-    "cmd_bench",
-    "cmd_report",
-]
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation.
-
-    Built entirely before any output directory is touched, so a
-    malformed config can never leave partial artifacts behind.  The
-    master seed is always explicit; nothing in the pipeline falls back
-    to wall-clock seeding.
-    """
-
-    subcommand: str
-    out: Path
-    seed: int
-    search: SearchConfig
-    target: TargetHandle | None = None
-    target_token: str | None = None
-    unit: int | None = None
-    task: StimulusSet | None = None
-    task_blob: dict | None = None
-    options: dict = field(default_factory=dict)
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +118,7 @@ def _search_from(args, master_seed: int) -> SearchConfig:
 def _master_seed(args, blob: dict | None = None) -> int:
     if args.seed is not None:
         return args.seed
-    if blob and "seed" in blob:
-        return int(blob["seed"])
-    return 0
+    return int((blob or {}).get("seed", 0))
 
 
 def _builtin_target(name: str, side: int, seed: int) -> TargetHandle:
@@ -190,13 +158,6 @@ def _task_from(args) -> tuple[StimulusSet | None, dict | None]:
     return generate_task_stimuli(spec), blob
 
 
-def _check_task_shape(target: TargetHandle, task: StimulusSet | None) -> None:
-    if task is not None and task.shape != target.input_shape:
-        raise ValueError(
-            f"task shape {task.shape} != target input {target.input_shape}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # emission
 
@@ -209,31 +170,17 @@ def _write_matrix_csv(path: Path, stimuli) -> None:
     write_artifact(path, "\n".join(lines) + "\n")
 
 
-def _write_run_json(run: RunConfig, extra: dict | None = None) -> None:
-    blob = {
-        "subcommand": run.subcommand,
-        "seed": run.seed,
-        "search": asdict(run.search),
-        "target": run.target_token,
-        "unit": run.unit,
-        "task": run.task_blob,
-    }
-    if extra:
-        blob.update(extra)
-    write_json(run.out / "run.json", blob)
+def _write_stimulus(stimulus: Stimulus, stem: Path) -> None:
+    """One stimulus as ``<stem>.csv`` and as the ``<stem>.pgm`` image."""
+    write_stimulus_csv(stimulus, stem.with_suffix(".csv"))
+    write_stimulus_pgm(stimulus, stem.with_suffix(".pgm"))
 
 
 def _write_optimal(out: Path, optimal) -> None:
-    write_stimulus_csv(optimal.x_hat, out / "x_hat.csv")
-    write_stimulus_pgm(optimal.x_hat, out / "x_hat.pgm")
-    write_json(
-        out / "optimal.json",
-        {
-            "fitness": optimal.fitness,
-            "init_source": optimal.init_source,
-            "run_records": list(optimal.run_records),
-        },
-    )
+    _write_stimulus(optimal.x_hat, out / "x_hat")
+    write_json(out / "optimal.json", {"fitness": optimal.fitness,
+                                      "init_source": optimal.init_source,
+                                      "run_records": list(optimal.run_records)})
 
 
 def _print_report(report: MeasureReport) -> None:
@@ -243,10 +190,17 @@ def _print_report(report: MeasureReport) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand resolution
+# subcommands
+#
+# Each subparser binds a resolver with ``set_defaults(resolve=...)``.  The
+# resolver checks every input and returns the job: a partial of one of
+# the functions below, with explicit arguments.  Resolution ends before
+# any output directory is touched, so a malformed config can never leave
+# partial artifacts behind.  The master seed is always explicit; nothing
+# in the pipeline falls back to wall-clock seeding.
 
 
-def _resolve_gen_net(args) -> RunConfig:
+def _resolve_gen_net(args):
     seed = _master_seed(args)
     if args.spec:
         spec = spec_from_json(_load_json(_require_path(args.spec, "network spec")))
@@ -255,58 +209,204 @@ def _resolve_gen_net(args) -> RunConfig:
     else:
         build = default_l1_spec if args.levels == 1 else default_l2_spec
         spec = build(weight_seed=seed)
-    return RunConfig(
-        subcommand="gen-net",
-        out=Path(args.out),
-        seed=seed,
-        search=SearchConfig(seed=seed),
-        options={"spec": spec},
+    return partial(_gen_net, spec, Path(args.out))
+
+
+def _gen_net(spec, out: Path) -> None:
+    handle = sthor_network(spec)
+    write_network_weights(handle.meta["kernels"], out / "weights.bin")
+    side = spec.input_shape[0]
+    write_json(
+        out / "manifest.json",
+        {
+            "input_shape": list(spec.input_shape),
+            "response_dim": handle.response_dim,
+            "weights": "weights.bin",
+            "spec": spec_to_json(spec),
+        },
     )
+    print(f"input_shape: {side}x{side}")
+    print(f"response_dim: {handle.response_dim}")
+    print(f"manifest: {out / 'manifest.json'}")
 
 
-def _resolve_target_command(args, subcommand: str) -> RunConfig:
+@dataclass(frozen=True)
+class _TargetRun:
+    """The resolved inputs that the five target commands share."""
+
+    out: Path
+    seed: int
+    search: SearchConfig
+    target: TargetHandle  # already the unit view under --unit
+    task: StimulusSet | None
+    run_json: dict
+
+
+def _resolve_target(args, scalar: bool) -> _TargetRun:
+    """Load target, task and search; a ``scalar`` command needs one output."""
     seed = _master_seed(args)
     search = _search_from(args, seed)
     target = _load_target(args.target, args.shape, seed)
     task, task_blob = _task_from(args)
-    _check_task_shape(target, task)
+    if task is not None and task.shape != target.input_shape:
+        raise ValueError(f"task shape {task.shape} != target input {target.input_shape}")
     unit = getattr(args, "unit", None)
-    needs_scalar = subcommand in ("characterize", "paths", "subspace")
-    if needs_scalar and unit is None and target.response_dim != 1:
-        raise ValueError(
-            f"target has {target.response_dim} outputs; pick one with --unit"
-        )
-    population_protocol = unit is None and target.response_dim != 1
-    if subcommand == "measure" and population_protocol and task is None:
-        raise ValueError("population-level measure needs --task")
-    options = {}
-    if hasattr(args, "walks"):
-        if args.walks < 0:
-            raise ValueError(f"--walks is {args.walks}; it must be at least 0")
-        options["walks"] = args.walks
-    if subcommand == "measure":
-        if args.unit_sample < 1:
-            raise ValueError(f"--unit-sample is {args.unit_sample}; it must be at least 1")
-        options["unit_sample"] = args.unit_sample
-    if subcommand == "encode" or (subcommand == "measure" and population_protocol):
-        options["references"] = sample_references(
-            task, args.references, seed=derive_int(seed, "references")
-        )
-    return RunConfig(
-        subcommand=subcommand,
-        out=Path(args.out),
-        seed=seed,
-        search=search,
-        target=target,
-        target_token=args.target,
-        unit=unit,
-        task=task,
-        task_blob=task_blob,
-        options=options,
+    if unit is not None:
+        target = unit_view(target, unit)
+    elif scalar and target.response_dim != 1:
+        raise ValueError(f"target has {target.response_dim} outputs; pick one with --unit")
+    run_json = {
+        "subcommand": args.subcommand,
+        "seed": seed,
+        "search": asdict(search),
+        "target": args.target,
+        "unit": unit,
+        "task": task_blob,
+    }
+    return _TargetRun(Path(args.out), seed, search, target, task, run_json)
+
+
+def _walk_count(args) -> int:
+    if args.walks < 0:
+        raise ValueError(f"--walks is {args.walks}; it must be at least 0")
+    return args.walks
+
+
+def _references(run: _TargetRun, count: int) -> StimulusSet:
+    return sample_references(run.task, count, seed=derive_int(run.seed, "references"))
+
+
+def _emit_paths(run: _TargetRun, optimal, paths, n_walks: int) -> None:
+    walks = None
+    if n_walks:
+        rng = derive_rng(run.seed, "cli", "walks")
+        walks = random_walk_curve(run.target, optimal.x_hat, run.search.deltas, n_walks, rng)
+    _write_optimal(run.out, optimal)
+    write_fd_csv(build_fd_diagram(paths, walks), run.out / "fd.csv")
+    for path in paths:
+        _write_matrix_csv(run.out / f"path_{path.kind}.csv", path.points)
+
+
+def _emit_subspace(run: _TargetRun, samples: dict) -> None:
+    blob = {"delta": run.search.subspace_delta}
+    for kind, sample in samples.items():
+        _write_matrix_csv(run.out / f"subspace_{kind}.csv", sample.columns)
+        blob[f"{kind}_fitnesses"] = list(sample.fitnesses)
+    blob["capacity"] = subspace_capacity(samples["invariance"])
+    if run.task is not None:
+        for kind, sample in samples.items():
+            raw, normalized = subspace_alignment(sample, run.task)
+            blob[f"{kind}_alignment"] = {"raw": raw, "normalized": normalized}
+    write_json(run.out / "subspace.json", blob)
+
+
+def _resolve_characterize(args):
+    return partial(_characterize, _resolve_target(args, scalar=True), _walk_count(args))
+
+
+def _characterize(run: _TargetRun, walks: int) -> None:
+    report, artifacts = characterize_unit(
+        run.target, run.search, task=run.task, with_subspace=True
     )
+    optimal = artifacts["optimal"]
+    _emit_paths(run, optimal, artifacts["paths"], walks)
+    _emit_subspace(run, artifacts["subspace"])
+    write_json(run.out / "report.json", report_to_json(report))
+    write_json(run.out / "run.json", run.run_json)
+    print(f"optimum_fitness: {optimal.fitness!r}")
+    _print_report(report)
 
 
-def _resolve_bench(args) -> RunConfig:
+def _resolve_paths(args):
+    return partial(_paths, _resolve_target(args, scalar=True), _walk_count(args))
+
+
+def _paths(run: _TargetRun, walks: int) -> None:
+    _, artifacts = characterize_unit(run.target, run.search)
+    optimal = artifacts["optimal"]
+    _emit_paths(run, optimal, artifacts["paths"], walks)
+    write_json(run.out / "run.json", run.run_json)
+    print(f"optimum_fitness: {optimal.fitness!r}")
+    print(f"fd: {run.out / 'fd.csv'}")
+
+
+def _resolve_subspace(args):
+    return partial(_subspace, _resolve_target(args, scalar=True))
+
+
+def _subspace(run: _TargetRun) -> None:
+    optimal = optimal_stimulus(run.target, run.search)
+    kinds = ("invariance", "selectivity")
+    plans = [subspace_plan(run.target, optimal.x_hat, run.search, kind) for kind in kinds]
+    samples = dict(zip(kinds, run_plans(plans)))
+    _write_optimal(run.out, optimal)
+    _emit_subspace(run, samples)
+    write_json(run.out / "run.json", run.run_json)
+    print(f"optimum_fitness: {optimal.fitness!r}")
+    print(f"capacity: {subspace_capacity(samples['invariance'])!r}")
+
+
+def _resolve_encode(args):
+    run = _resolve_target(args, scalar=False)
+    return partial(_encode, run, _references(run, args.references))
+
+
+def _encode(run: _TargetRun, references: StimulusSet) -> None:
+    recon_sets = run_plans(encode_plans(run.target, references, run.search))
+    per_reference = []
+    for i, (reference, recons) in enumerate(zip(references, recon_sets)):
+        specificity = encoding_specificity(recons)
+        best = int(np.argmax(recons.fitnesses))
+        _write_stimulus(reference, run.out / f"reference_{i:02d}")
+        _write_stimulus(recons.reconstructions[best], run.out / f"reconstruction_{i:02d}")
+        per_reference.append(
+            {"reference": i, "specificity": specificity, "best_fitness": recons.fitnesses[best]}
+        )
+    tses = float(np.mean([row["specificity"] for row in per_reference]))
+    write_json(run.out / "encode.json", {"per_reference": per_reference, "tses": tses})
+    write_json(run.out / "run.json", run.run_json)
+    print(f"references: {len(references)}")
+    print(f"tses: {tses!r}")
+
+
+def _resolve_measure(args):
+    run = _resolve_target(args, scalar=False)
+    if args.unit_sample < 1:
+        raise ValueError(f"--unit-sample is {args.unit_sample}; it must be at least 1")
+    references = None
+    if run.target.response_dim != 1:
+        if run.task is None:
+            raise ValueError("population-level measure needs --task")
+        references = _references(run, args.references)
+    return partial(_measure, run, references, args.unit_sample)
+
+
+def _measure(run: _TargetRun, references: StimulusSet | None, unit_sample: int) -> None:
+    """Full MeasureReport for one target: unit or population protocol."""
+    if run.target.response_dim == 1:
+        report, artifacts = characterize_unit(
+            run.target, run.search, task=run.task, with_subspace=True
+        )
+        x_hat = artifacts["optimal"].x_hat
+    else:
+        report, artifacts = characterize_population(
+            run.target, run.task, references, run.search, unit_sample=unit_sample
+        )
+        x_hat = artifacts["x_hat"]
+    _write_stimulus(x_hat, run.out / "x_hat")
+    write_json(run.out / "report.json", report_to_json(report))
+    write_json(run.out / "run.json", run.run_json)
+    _print_report(report)
+
+
+def _count(blob: dict, key: str, default: int) -> int:
+    value = blob.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"study config: {key} is {value!r}; it must be an integer")
+    return value
+
+
+def _resolve_bench(args):
     blob = _load_json(_require_path(args.config, "study config"))
     if not isinstance(blob, dict):
         raise ValueError("study config must be a JSON object")
@@ -346,225 +446,61 @@ def _resolve_bench(args) -> RunConfig:
         )
     task = generate_task_stimuli(task_spec)
 
-    n_networks = int(blob.get("n_networks", 20))
     population, manifest = sample_network_population(
-        base_spec, n_networks, ranges, seed=derive_int(seed, "networks")
+        base_spec, _count(blob, "n_networks", 20), ranges, seed=derive_int(seed, "networks")
     )
     references = sample_references(
-        task, int(blob.get("n_references", 12)), seed=derive_int(seed, "references")
+        task, _count(blob, "n_references", 12), seed=derive_int(seed, "references")
     )
 
     store = Path(args.out)
     if store.exists() and any(store.iterdir()) and not args.resume:
         raise ValueError(f"store {store} is not empty; pass --resume to continue")
-    bench_config = BenchConfig(
+    config = BenchConfig(
         seed=seed,
         search=search,
-        n_pairs=int(blob.get("n_pairs", 200)),
-        unit_sample=int(blob.get("unit_sample", 2)),
+        n_pairs=_count(blob, "n_pairs", 200),
+        unit_sample=_count(blob, "unit_sample", 2),
         store_dir=str(store),
         workers=args.workers,
     )
-    return RunConfig(
-        subcommand="bench",
-        out=store,
-        seed=seed,
-        search=search,
-        task=task,
-        task_blob=task_blob,
-        options={
-            "population": population,
-            "manifest": manifest,
-            "references": references,
-            "bench_config": bench_config,
-            "study": blob,
-        },
-    )
+    run_json = {
+        "subcommand": args.subcommand,
+        "seed": seed,
+        "search": asdict(search),
+        "target": None,
+        "unit": None,
+        "task": task_blob,
+        "study": blob,
+        "networks": manifest,
+    }
+    return partial(_bench, population, task, references, config, run_json)
 
 
-def _resolve_report(args) -> RunConfig:
-    store = _require_path(args.store, "store")
-    if not store.is_dir():
-        raise ValueError(f"store {store} is not a directory")
-    if args.permutations < 1:
-        raise ValueError(f"--permutations is {args.permutations}; it must be at least 1")
-    out = Path(args.out) if args.out else store
-    return RunConfig(
-        subcommand="report",
-        out=out,
-        seed=_master_seed(args),
-        search=SearchConfig(),
-        options={"store": store, "permutations": args.permutations},
-    )
-
-
-# ---------------------------------------------------------------------------
-# subcommand execution
-
-
-def cmd_gen_net(run: RunConfig) -> None:
-    spec = run.options["spec"]
-    handle = sthor_network(spec)
-    out = run.out
-    write_network_weights(handle.meta["kernels"], out / "weights.bin")
-    side = spec.input_shape[0]
-    write_json(
-        out / "manifest.json",
-        {
-            "input_shape": list(spec.input_shape),
-            "response_dim": handle.response_dim,
-            "weights": "weights.bin",
-            "spec": spec_to_json(spec),
-        },
-    )
-    print(f"input_shape: {side}x{side}")
-    print(f"response_dim: {handle.response_dim}")
-    print(f"manifest: {out / 'manifest.json'}")
-
-
-def _scalar_target(run: RunConfig) -> TargetHandle:
-    if run.unit is not None:
-        return unit_view(run.target, run.unit)
-    return run.target
-
-
-def _walks_for(run: RunConfig, target: TargetHandle, x_hat: Stimulus):
-    n_walks = run.options.get("walks", 0)
-    if n_walks < 1:
-        return None
-    rng = derive_rng(run.seed, "cli", "walks")
-    return random_walk_curve(target, x_hat, run.search.deltas, n_walks, rng)
-
-
-def _emit_paths(run: RunConfig, optimal, paths, walks) -> None:
-    _write_optimal(run.out, optimal)
-    write_fd_csv(build_fd_diagram(paths, walks), run.out / "fd.csv")
-    for path in paths:
-        _write_matrix_csv(run.out / f"path_{path.kind}.csv", path.points)
-
-
-def _emit_subspace(run: RunConfig, samples: dict) -> None:
-    blob = {"delta": run.search.subspace_delta}
-    for kind, sample in samples.items():
-        _write_matrix_csv(run.out / f"subspace_{kind}.csv", sample.columns)
-        blob[f"{kind}_fitnesses"] = list(sample.fitnesses)
-    blob["capacity"] = subspace_capacity(samples["invariance"])
-    if run.task is not None:
-        for kind, sample in samples.items():
-            raw, normalized = subspace_alignment(sample, run.task)
-            blob[f"{kind}_alignment"] = {"raw": raw, "normalized": normalized}
-    write_json(run.out / "subspace.json", blob)
-
-
-def cmd_characterize(run: RunConfig) -> None:
-    target = _scalar_target(run)
-    report, artifacts = characterize_unit(
-        target, run.search, task=run.task, with_subspace=True
-    )
-    optimal = artifacts["optimal"]
-    walks = _walks_for(run, target, optimal.x_hat)
-    _emit_paths(run, optimal, artifacts["paths"], walks)
-    _emit_subspace(run, artifacts["subspace"])
-    write_json(run.out / "report.json", report_to_json(report))
-    _write_run_json(run)
-    print(f"optimum_fitness: {optimal.fitness!r}")
-    _print_report(report)
-
-
-def cmd_paths(run: RunConfig) -> None:
-    target = _scalar_target(run)
-    _, artifacts = characterize_unit(target, run.search)
-    optimal = artifacts["optimal"]
-    walks = _walks_for(run, target, optimal.x_hat)
-    _emit_paths(run, optimal, artifacts["paths"], walks)
-    _write_run_json(run)
-    print(f"optimum_fitness: {optimal.fitness!r}")
-    print(f"fd: {run.out / 'fd.csv'}")
-
-
-def cmd_subspace(run: RunConfig) -> None:
-    target = _scalar_target(run)
-    optimal = optimal_stimulus(target, run.search)
-    kinds = ("invariance", "selectivity")
-    plans = [subspace_plan(target, optimal.x_hat, run.search, kind) for kind in kinds]
-    samples = dict(zip(kinds, run_plans(plans)))
-    _write_optimal(run.out, optimal)
-    _emit_subspace(run, samples)
-    _write_run_json(run)
-    print(f"optimum_fitness: {optimal.fitness!r}")
-    print(f"capacity: {subspace_capacity(samples['invariance'])!r}")
-
-
-def cmd_encode(run: RunConfig) -> None:
-    references = run.options["references"]
-    recon_sets = run_plans(encode_plans(run.target, references, run.search))
-    per_reference = []
-    scores = []
-    for i, (reference, recons) in enumerate(zip(references, recon_sets)):
-        specificity = encoding_specificity(recons)
-        best = int(np.argmax(recons.fitnesses))
-        write_stimulus_csv(reference, run.out / f"reference_{i:02d}.csv")
-        write_stimulus_pgm(reference, run.out / f"reference_{i:02d}.pgm")
-        write_stimulus_csv(
-            recons.reconstructions[best], run.out / f"reconstruction_{i:02d}.csv"
-        )
-        write_stimulus_pgm(
-            recons.reconstructions[best], run.out / f"reconstruction_{i:02d}.pgm"
-        )
-        per_reference.append(
-            {
-                "reference": i,
-                "specificity": specificity,
-                "best_fitness": recons.fitnesses[best],
-            }
-        )
-        scores.append(specificity)
-    tses = float(np.mean(scores))
-    write_json(run.out / "encode.json", {"per_reference": per_reference, "tses": tses})
-    _write_run_json(run)
-    print(f"references: {len(references)}")
-    print(f"tses: {tses!r}")
-
-
-def cmd_measure(run: RunConfig) -> None:
-    """Full MeasureReport for one target: unit or population protocol."""
-    if run.unit is not None or run.target.response_dim == 1:
-        target = _scalar_target(run)
-        report, artifacts = characterize_unit(
-            target, run.search, task=run.task, with_subspace=True
-        )
-        x_hat = artifacts["optimal"].x_hat
-    else:
-        report, artifacts = characterize_population(
-            run.target, run.task, run.options["references"], run.search,
-            unit_sample=run.options["unit_sample"],
-        )
-        x_hat = artifacts["x_hat"]
-    write_stimulus_csv(x_hat, run.out / "x_hat.csv")
-    write_stimulus_pgm(x_hat, run.out / "x_hat.pgm")
-    write_json(run.out / "report.json", report_to_json(report))
-    _write_run_json(run)
-    _print_report(report)
-
-
-def cmd_bench(run: RunConfig) -> None:
-    opts = run.options
-    result = run_study(opts["population"], run.task, opts["references"],
-                       opts["bench_config"])
-    _write_run_json(run, extra={"study": opts["study"], "networks": opts["manifest"]})
+def _bench(population, task, references, config: BenchConfig, run_json: dict) -> None:
+    result = run_study(population, task, references, config)
+    write_json(Path(config.store_dir) / "run.json", run_json)
     print(f"networks: {len(result.reports)}")
-    print(f"store: {run.out}")
+    print(f"store: {config.store_dir}")
     if result.all_r2 is None:
         print(f"correlation: skipped (needs {MIN_NETWORKS_FOR_TABLE} networks)")
     else:
         print(f"all_r2: {result.all_r2!r}")
 
 
-def cmd_report(run: RunConfig) -> None:
-    performances, reports = collect_reports(run.options["store"])
-    _, all_r2 = correlation_stage(
-        run.out, reports, performances, run.seed, n_perm=run.options["permutations"]
-    )
+def _resolve_report(args):
+    store = _require_path(args.store, "store")
+    if not store.is_dir():
+        raise ValueError(f"store {store} is not a directory")
+    if args.permutations < 1:
+        raise ValueError(f"--permutations is {args.permutations}; it must be at least 1")
+    out = Path(args.out) if args.out else store
+    return partial(_report, store, out, _master_seed(args), args.permutations)
+
+
+def _report(store: Path, out: Path, seed: int, permutations: int) -> None:
+    performances, reports = collect_reports(store)
+    _, all_r2 = correlation_stage(out, reports, performances, seed, n_perm=permutations)
     if all_r2 is None:
         print(
             f"correlation: skipped ({len(reports)} networks, "
@@ -577,24 +513,9 @@ def cmd_report(run: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 # parser and entry point
 
-_RESOLVERS = {
-    "gen-net": _resolve_gen_net,
-    "bench": _resolve_bench,
-    "report": _resolve_report,
-}
-_COMMANDS = {
-    "gen-net": cmd_gen_net,
-    "characterize": cmd_characterize,
-    "paths": cmd_paths,
-    "subspace": cmd_subspace,
-    "encode": cmd_encode,
-    "measure": cmd_measure,
-    "bench": cmd_bench,
-    "report": cmd_report,
-}
 
-
-def _add_target_flags(sub, with_unit=True):
+def _add_target_flags(sub, resolve, with_unit=True):
+    sub.set_defaults(resolve=resolve)
     sub.add_argument("--target", required=True,
                      help="builtin name (linear, quadratic) or manifest path")
     sub.add_argument("--shape", type=int, default=11,
@@ -607,7 +528,7 @@ def _add_target_flags(sub, with_unit=True):
     sub.add_argument("--out", required=True)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tunescope",
         description="tuning-landscape characterization pipeline",
@@ -615,6 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
     gen = subparsers.add_parser("gen-net", help="build a random cascade")
+    gen.set_defaults(resolve=_resolve_gen_net)
     gen.add_argument("--levels", type=int, choices=(1, 2), default=1)
     gen.add_argument("--spec", default=None, help="network spec JSON")
     gen.add_argument("--seed", type=int, default=None)
@@ -622,32 +544,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     char = subparsers.add_parser("characterize",
                                  help="full single-unit report bundle")
-    _add_target_flags(char)
+    _add_target_flags(char, _resolve_characterize)
     char.add_argument("--task", default=None, help="task spec JSON")
     char.add_argument("--walks", type=int, default=20,
                       help="random-walk curves in the distance diagram")
 
     paths = subparsers.add_parser("paths", help="optimum and both cone paths")
-    _add_target_flags(paths)
+    _add_target_flags(paths, _resolve_paths)
     paths.add_argument("--walks", type=int, default=20)
 
     sub = subparsers.add_parser("subspace", help="cone solution subspaces")
-    _add_target_flags(sub)
+    _add_target_flags(sub, _resolve_subspace)
     sub.add_argument("--task", default=None, help="task spec JSON")
 
     enc = subparsers.add_parser("encode",
                                 help="reconstruct task references from responses")
-    _add_target_flags(enc, with_unit=False)
+    _add_target_flags(enc, _resolve_encode, with_unit=False)
     enc.add_argument("--task", required=True, help="task spec JSON")
     enc.add_argument("--references", type=int, default=12)
 
     mea = subparsers.add_parser("measure", help="one target, all measures")
-    _add_target_flags(mea)
+    _add_target_flags(mea, _resolve_measure)
     mea.add_argument("--task", default=None, help="task spec JSON")
     mea.add_argument("--references", type=int, default=12)
     mea.add_argument("--unit-sample", dest="unit_sample", type=int, default=2)
 
     ben = subparsers.add_parser("bench", help="population study into a store")
+    ben.set_defaults(resolve=_resolve_bench)
     ben.add_argument("--config", required=True, help="study config JSON")
     ben.add_argument("--out", required=True, help="artifact store directory")
     ben.add_argument("--seed", type=int, default=None)
@@ -656,6 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--workers", type=int, default=os.cpu_count() or 1)
 
     rep = subparsers.add_parser("report", help="correlation table from a store")
+    rep.set_defaults(resolve=_resolve_report)
     rep.add_argument("--store", required=True)
     rep.add_argument("--out", default=None, help="defaults to the store")
     rep.add_argument("--seed", type=int, default=None)
@@ -670,24 +594,19 @@ def _emit_error(exc: BaseException) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits on its own for usage errors and --help
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
-    resolver = _RESOLVERS.get(args.subcommand)
     try:
-        if resolver is not None:
-            run = resolver(args)
-        else:
-            run = _resolve_target_command(args, args.subcommand)
+        job = args.resolve(args)
     except Exception as exc:
         _emit_error(exc)
         return 1
     try:
-        _COMMANDS[run.subcommand](run)
+        job()
     except Exception as exc:
         _emit_error(exc)
         return 2

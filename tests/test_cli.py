@@ -167,15 +167,15 @@ class TestCharacterize:
                   for line in (out / "fd.csv").read_text().splitlines()[1:]}
         assert series == {"invariance", "selectivity", "random_walk"}
 
-    def test_unit_out_of_range_is_runtime_error(self, tmp_path, capsys,
-                                                micro_config):
+    def test_unit_out_of_range_is_config_error(self, tmp_path, capsys,
+                                               micro_config):
         net = tmp_path / "net"
         assert main(["gen-net", "--seed", "5", "--out", str(net)]) == 0
         capsys.readouterr()
         out = tmp_path / "char"
         assert main(["characterize", "--target", str(net), "--unit", "99",
                      "--seed", "3", "--config", micro_config,
-                     "--out", str(out)]) == 2
+                     "--out", str(out)]) == 1
         error = error_payload(capsys)
         assert error["type"] == "IndexError"
         assert not out.exists()
