@@ -16,6 +16,7 @@ one network share its forward calls with unchanged results.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Generator, Iterable
 from dataclasses import dataclass, field, replace
 
@@ -69,7 +70,7 @@ def default_deltas() -> tuple[float, ...]:
 
 
 # the least value of each run count, candidate count, budget per dimension
-# and stop rule
+# and stop rule; all but step_tolerance count something, so are integers
 _MINIMUMS = dict(
     optimal_runs=1, optimal_budget_per_dim=1, seed_candidates=1, path_budget_per_dim=1,
     subspace_runs=2, reconstruct_runs=1, reconstruct_budget_per_dim=1, stagnation_window=1,
@@ -88,7 +89,8 @@ class SearchConfig:
     run and ``path_budget_per_dim * N`` per cone angle.  Cone angles
     (``deltas``, at least one, and ``subspace_delta``) must lie in
     (0, pi].  A subspace needs at least two runs; every other run count,
-    candidate count and budget, and the stagnation window, is at least 1.
+    candidate count and budget, and the stagnation window, is an integer
+    and at least 1.
     ``energy`` and both initial steps are finite and above 0, and
     ``step_tolerance`` is finite and at least 0.
     """
@@ -117,8 +119,13 @@ class SearchConfig:
             if not 0 < delta <= np.pi:
                 raise ValueError(f"cone angle {delta} outside (0, pi]")
         for name, least in _MINIMUMS.items():
-            if not least <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} is {getattr(self, name)}; it must be finite, at least {least}")
+            value = getattr(self, name)
+            if name != "step_tolerance" and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ValueError(f"{name} is {value!r}; it must be an integer")
+            if not least <= value < np.inf:
+                raise ValueError(f"{name} is {value}; it must be finite, at least {least}")
         for name in _POSITIVE:
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} is {getattr(self, name)}; it must be finite, above 0")

@@ -43,6 +43,11 @@ UNUSABLE_SEARCH = [
     {"path_budget_per_dim": 0},
     {"reconstruct_runs": 0},
     {"reconstruct_budget_per_dim": 0},
+    # counts that are not integers
+    {"subspace_runs": 2.5},
+    {"seed_candidates": 16.5},
+    {"optimal_budget_per_dim": 2.5},
+    {"optimal_runs": True},
     # values that would turn every search into a no-op or a non-finite start
     {"energy": 0},
     {"energy": float("inf")},
@@ -434,6 +439,15 @@ class TestBench:
         assert main(["bench", "--config", self.write_config(tmp_path, blob),
                      "--out", str(store), "--workers", "1"]) == 1
         assert "n_pairs" in error_payload(capsys)["message"]
+        assert not store.exists()
+
+    @pytest.mark.parametrize("key", ["n_networks", "n_references", "n_pairs", "unit_sample"])
+    def test_fractional_count_in_study_config(self, tmp_path, capsys, key):
+        blob = dict(study_blob(), **{key: 2.5})
+        store = tmp_path / "store"
+        assert main(["bench", "--config", self.write_config(tmp_path, blob),
+                     "--out", str(store), "--workers", "1"]) == 1
+        assert f"{key} is 2.5" in error_payload(capsys)["message"]
         assert not store.exists()
 
     def test_workers_below_one(self, tmp_path, capsys):
