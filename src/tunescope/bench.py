@@ -399,11 +399,11 @@ def characterize_population(
 
 @dataclass(frozen=True)
 class BenchConfig:
+    store_dir: str
     seed: int = 0
     search: SearchConfig = field(default_factory=SearchConfig)
     n_pairs: int = 200
     unit_sample: int = 2
-    store_dir: str | None = None
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -495,14 +495,13 @@ def _study_network(
     n_pairs: int,
     split_seed: int,
     unit_sample: int,
-    net_dir: Path | None,
+    net_dir: Path,
 ) -> tuple[float, MeasureReport]:
     performance = pair_matching_performance(target, task, n_pairs, split_seed)
     report, artifacts = characterize_population(
         target, task, references, search_config, unit_sample
     )
-    if net_dir is not None:
-        _write_network_artifacts(net_dir, performance, report, artifacts)
+    _write_network_artifacts(net_dir, performance, report, artifacts)
     return performance, report
 
 
@@ -572,13 +571,13 @@ def write_measures_csv(path, performances, reports) -> None:
 
 
 def correlation_stage(
-    out: Path | None, reports, performances, seed: int, n_perm: int = 10_000
+    out: Path, reports, performances, seed: int, n_perm: int = 10_000
 ) -> tuple[tuple[dict, ...], float | None]:
     """Correlate measures with performance; write the result under ``out``.
 
     Below ``MIN_NETWORKS_FOR_TABLE`` networks the table is skipped and
-    ``all_r2`` is None.  With ``out`` given, ``summary.json`` is always
-    written and ``correlation.csv`` only when the table ran.
+    ``all_r2`` is None.  ``summary.json`` is always written and
+    ``correlation.csv`` only when the table ran.
     """
     rows: tuple[dict, ...] = ()
     summary = {"seed": seed, "n_networks": len(reports), "all_r2": None,
@@ -586,10 +585,8 @@ def correlation_stage(
     if len(reports) >= MIN_NETWORKS_FOR_TABLE:
         rows, summary["all_r2"] = correlation_table(reports, performances, seed=seed, n_perm=n_perm)
         summary["correlations"] = list(rows)
-        if out is not None:
-            write_correlation_csv(list(rows), out / "correlation.csv")
-    if out is not None:
-        write_json(out / "summary.json", summary)
+        write_correlation_csv(list(rows), out / "correlation.csv")
+    write_json(out / "summary.json", summary)
     return rows, summary["all_r2"]
 
 
@@ -613,30 +610,28 @@ def run_study(
     """
     if not population:
         raise ValueError("empty population")
-    store = None if config.store_dir is None else Path(config.store_dir)
-    if store is not None:
-        fingerprint = _study_fingerprint(population, task, references, config)
-        fp_path = store / "study_config.json"
-        if fp_path.exists():
-            with open(fp_path, encoding="ascii") as fh:
-                if json.load(fh) != fingerprint:
-                    raise ValueError(
-                        f"artifact store {store} was built with a different study config"
-                    )
-        else:
-            write_json(fp_path, fingerprint)
+    store = Path(config.store_dir)
+    fingerprint = _study_fingerprint(population, task, references, config)
+    fp_path = store / "study_config.json"
+    if fp_path.exists():
+        with open(fp_path, encoding="ascii") as fh:
+            if json.load(fh) != fingerprint:
+                raise ValueError(
+                    f"artifact store {store} was built with a different study config"
+                )
+    else:
+        write_json(fp_path, fingerprint)
 
     split_seed = derive_int(config.seed, "pairs")
     results: dict[int, tuple[float, MeasureReport]] = {}
     pending = []
     jobs = []
     for index, target in enumerate(population):
-        net_dir = None if store is None else _network_dir(store, index)
-        if net_dir is not None:
-            loaded = _load_network(net_dir)
-            if loaded is not None:
-                results[index] = loaded
-                continue
+        net_dir = _network_dir(store, index)
+        loaded = _load_network(net_dir)
+        if loaded is not None:
+            results[index] = loaded
+            continue
         pending.append(index)
         search_config = replace(config.search, seed=derive_int(config.seed, "network", index))
         jobs.append(
@@ -652,8 +647,7 @@ def run_study(
 
     performances = tuple(results[i][0] for i in range(len(population)))
     reports = tuple(results[i][1] for i in range(len(population)))
-    if store is not None:
-        write_measures_csv(store / "measures.csv", performances, reports)
+    write_measures_csv(store / "measures.csv", performances, reports)
 
     correlation_rows, all_r2 = correlation_stage(store, reports, performances, config.seed)
     return BenchResult(

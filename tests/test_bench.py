@@ -475,9 +475,10 @@ class TestRunStudy:
     def test_resume_reuses_partial_store(self, tmp_path):
         targets, task, refs = study_fixtures(2)
         fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
-        config = BenchConfig(seed=1, search=MICRO, n_pairs=60, unit_sample=1)
+        config = BenchConfig(seed=1, search=MICRO, n_pairs=60, unit_sample=1,
+                             store_dir=str(fresh))
 
-        run_study(targets, task, refs, replace(config, store_dir=str(fresh)))
+        run_study(targets, task, refs, config)
         # interrupted run: only the first network finished
         run_study(targets[:1], task, refs, replace(config, store_dir=str(resumed)))
         marker = resumed / "network_000" / "report.json"
@@ -585,9 +586,10 @@ class TestRunStudy:
         )
         task = small_task()
         refs = sample_references(task, 2, seed=9)
-        config = BenchConfig(seed=1, search=MICRO, n_pairs=60, unit_sample=1)
         sequential = tmp_path / "seq"
         parallel = tmp_path / "par"
+        config = BenchConfig(seed=1, search=MICRO, n_pairs=60, unit_sample=1,
+                             store_dir=str(sequential))
         run_study(handles, task, refs,
                   replace(config, store_dir=str(sequential), workers=1))
         run_study(handles, task, refs,
@@ -601,7 +603,8 @@ class TestRunStudy:
         views = [unit_view(network, 3), unit_view(network, 5)]
         task = small_task()
         refs = sample_references(task, 2, seed=9)
-        config = BenchConfig(seed=1, search=MICRO, n_pairs=60, unit_sample=1)
+        config = BenchConfig(seed=1, search=MICRO, n_pairs=60, unit_sample=1,
+                             store_dir=str(tmp_path / "workers1"))
         stores = []
         for workers in (1, 2):
             store = tmp_path / f"workers{workers}"
@@ -617,7 +620,7 @@ class TestRunStudy:
         network = sthor_network(default_l1_spec(weight_seed=34))
         task = small_task()
         refs = sample_references(task, 2, seed=9)
-        config = BenchConfig(seed=1, search=MICRO)
+        config = BenchConfig(seed=1, search=MICRO, store_dir="store")
 
         def fingerprint(handle):
             return _study_fingerprint([handle], task, refs, config)["networks"][0]
@@ -640,7 +643,7 @@ class TestRunStudy:
         network = sthor_network(default_l1_spec(weight_seed=34))
         task = small_task()
         refs = sample_references(task, 2, seed=9)
-        config = BenchConfig(seed=1, search=MICRO)
+        config = BenchConfig(seed=1, search=MICRO, store_dir="store")
 
         def fingerprint(handle):
             return _study_fingerprint([handle], task, refs, config)["networks"][0]
