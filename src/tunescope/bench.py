@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_artifact, write_json
-from .errors import DegenerateSplitError
+from .errors import DegenerateSplitError, check_fields
 from .measures import (
     MeasureReport,
     build_fd_diagram,
@@ -103,19 +103,13 @@ class TaskSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_classes < 2:
-            raise ValueError("need at least 2 classes")
-        if self.samples_per_class < 1:
-            raise ValueError("need at least 1 sample per class")
-        if self.height < 1 or self.width < 1:
-            raise ValueError("patch shape must be positive")
+        check_fields(
+            self, dict(n_classes=2, samples_per_class=1, height=1, width=1, seed=None),
+            positive=("energy",), nonnegative=("phase_jitter", "position_jitter"),
+        )
         lo, hi = self.frequency_range
         if not 0 < lo <= hi:
             raise ValueError(f"bad frequency range {self.frequency_range}")
-        if self.phase_jitter < 0 or self.position_jitter < 0:
-            raise ValueError("jitter ranges must be non-negative")
-        if self.energy <= 0:
-            raise ValueError("energy must be positive")
 
 
 def _oriented_grating(
@@ -407,12 +401,7 @@ class BenchConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_pairs < 2:
-            raise ValueError(f"n_pairs is {self.n_pairs}; it must be at least 2")
-        if self.unit_sample < 1:
-            raise ValueError(f"unit_sample is {self.unit_sample}; it must be at least 1")
-        if self.workers < 1:
-            raise ValueError(f"workers is {self.workers}; it must be at least 1")
+        check_fields(self, dict(seed=None, n_pairs=2, unit_sample=1, workers=1))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
 import os
 import sys
-from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from .bench import (
     run_study,
     sample_references,
 )
+from .errors import check_fields
 from .measures import (
     MeasureReport,
     build_fd_diagram,
@@ -71,6 +71,9 @@ from .targets import (
 )
 
 __all__ = ["main"]
+
+# the default cascade of each depth, for gen-net --levels and a study's levels
+_DEFAULT_SPECS = {1: default_l1_spec, 2: default_l2_spec}
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +118,8 @@ def _search_from(args, master_seed: int) -> SearchConfig:
     return replace(config, seed=master_seed)
 
 
-def _master_seed(args, blob: dict | None = None) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int((blob or {}).get("seed", 0))
+def _master_seed(args, default: int = 0) -> int:
+    return default if args.seed is None else args.seed
 
 
 def _builtin_target(name: str, side: int, seed: int) -> TargetHandle:
@@ -207,8 +208,7 @@ def _resolve_gen_net(args):
         if args.seed is not None:
             spec = replace(spec, weight_seed=seed)
     else:
-        build = default_l1_spec if args.levels == 1 else default_l2_spec
-        spec = build(weight_seed=seed)
+        spec = _DEFAULT_SPECS[args.levels](weight_seed=seed)
     return partial(_gen_net, spec, Path(args.out))
 
 
@@ -399,45 +399,62 @@ def _measure(run: _TargetRun, references: StimulusSet | None, unit_sample: int) 
     _print_report(report)
 
 
-def _count(blob: dict, key: str, default: int) -> int:
-    value = blob.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"study config: {key} is {value!r}; it must be an integer")
-    return value
+@dataclass(frozen=True)
+class _Study:
+    """A study config file; nested objects stay JSON until resolved.  It
+    gives ``levels`` (1 by default) or ``base_spec``, not both."""
+
+    seed: int = 0
+    levels: int | None = None
+    base_spec: dict | None = None
+    n_networks: int = 20
+    ranges: dict = field(default_factory=dict)
+    task: dict = field(default_factory=dict)
+    n_references: int = 12
+    n_pairs: int = 200
+    unit_sample: int = 2
+    search: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        check_fields(self, dict(seed=None, n_networks=1, n_references=1))
+        if self.levels is None:
+            return
+        if self.base_spec is not None:
+            raise ValueError("study config: give either levels or base_spec, not both")
+        check_fields(self, dict(levels=1))
+        if self.levels not in _DEFAULT_SPECS:
+            raise ValueError(f"levels is {self.levels}; it must be one of {list(_DEFAULT_SPECS)}")
 
 
 def _resolve_bench(args):
     blob = _load_json(_require_path(args.config, "study config"))
-    if not isinstance(blob, dict):
-        raise ValueError("study config must be a JSON object")
-    allowed = {
-        "seed", "levels", "base_spec", "n_networks", "ranges", "task",
-        "n_references", "n_pairs", "unit_sample", "search",
-    }
-    unknown = sorted(set(blob) - allowed)
-    if unknown:
-        raise ValueError(f"unknown study config keys: {', '.join(unknown)}")
-    if "levels" in blob and "base_spec" in blob:
-        raise ValueError("study config: give either levels or base_spec, not both")
-    seed = _master_seed(args, blob)
-
-    search_blob = dict(blob.get("search", {}))
-    if "seed" in search_blob:
+    study = _from_mapping(_Study, blob, "study config")
+    seed = _master_seed(args, study.seed)
+    if "seed" in study.search:
         raise ValueError(
             "study config: per-network solver seeds derive from the master "
             "seed; remove search.seed"
         )
-    search = _from_mapping(SearchConfig, search_blob, "solver config")
+    search = _from_mapping(SearchConfig, study.search, "solver config")
+    store = Path(args.out)
+    if store.exists() and any(store.iterdir()) and not args.resume:
+        raise ValueError(f"store {store} is not empty; pass --resume to continue")
+    config = BenchConfig(
+        store_dir=str(store),
+        seed=seed,
+        search=search,
+        n_pairs=study.n_pairs,
+        unit_sample=study.unit_sample,
+        workers=args.workers,
+    )
 
-    if "base_spec" in blob:
-        base_spec = spec_from_json(blob["base_spec"])
+    if study.base_spec is None:
+        base_spec = _DEFAULT_SPECS[study.levels or 1]()
     else:
-        build = default_l1_spec if blob.get("levels", 1) == 1 else default_l2_spec
-        base_spec = build()
-    ranges = _from_mapping(HyperRanges, blob.get("ranges", {}), "hyperparameter ranges")
+        base_spec = spec_from_json(study.base_spec)
+    ranges = _from_mapping(HyperRanges, study.ranges, "hyperparameter ranges")
 
-    task_blob = dict(blob.get("task", {}))
-    task_blob.setdefault("seed", derive_int(seed, "task"))
+    task_blob = {"seed": derive_int(seed, "task"), **study.task}
     task_spec = _from_mapping(TaskSpec, task_blob, "task spec")
     if (task_spec.height, task_spec.width) != base_spec.input_shape:
         raise ValueError(
@@ -447,23 +464,9 @@ def _resolve_bench(args):
     task = generate_task_stimuli(task_spec)
 
     population, manifest = sample_network_population(
-        base_spec, _count(blob, "n_networks", 20), ranges, seed=derive_int(seed, "networks")
+        base_spec, study.n_networks, ranges, seed=derive_int(seed, "networks")
     )
-    references = sample_references(
-        task, _count(blob, "n_references", 12), seed=derive_int(seed, "references")
-    )
-
-    store = Path(args.out)
-    if store.exists() and any(store.iterdir()) and not args.resume:
-        raise ValueError(f"store {store} is not empty; pass --resume to continue")
-    config = BenchConfig(
-        seed=seed,
-        search=search,
-        n_pairs=_count(blob, "n_pairs", 200),
-        unit_sample=_count(blob, "unit_sample", 2),
-        store_dir=str(store),
-        workers=args.workers,
-    )
+    references = sample_references(task, study.n_references, seed=derive_int(seed, "references"))
     run_json = {
         "subcommand": args.subcommand,
         "seed": seed,
@@ -537,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = subparsers.add_parser("gen-net", help="build a random cascade")
     gen.set_defaults(resolve=_resolve_gen_net)
-    gen.add_argument("--levels", type=int, choices=(1, 2), default=1)
+    gen.add_argument("--levels", type=int, choices=tuple(_DEFAULT_SPECS), default=1)
     gen.add_argument("--spec", default=None, help="network spec JSON")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True)

@@ -1,8 +1,12 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the field rule of
+every config record.
 
 Every failure mode that callers are expected to catch gets its own class so
 that tests can assert on the exact condition rather than on message text.
 """
+
+import math
+import numbers
 
 
 class TunescopeError(Exception):
@@ -55,3 +59,26 @@ class NonPositiveOptimumError(TunescopeError):
 
 class DegenerateSplitError(TunescopeError):
     """A train/test split left one side empty or single-typed."""
+
+
+def check_fields(record, counts: dict, positive: tuple = (), nonnegative: tuple = ()) -> None:
+    """Check a config record's count and scale fields; raise ``ValueError``.
+
+    ``counts`` maps each count field to its least value (None: any
+    integer); a count is an integer, and ``bool`` is not one.  The
+    fields named in ``positive`` are finite reals above 0, those in
+    ``nonnegative`` finite reals at least 0.
+    """
+    for name, least in counts.items():
+        value = getattr(record, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} is {value!r}; it must be an integer")
+        if least is not None and value < least:
+            raise ValueError(f"{name} is {value}; it must be at least {least}")
+    for name in (*positive, *nonnegative):
+        value = getattr(record, name)
+        strict = name in positive
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and (0 < value if strict else 0 <= value) and value < math.inf):
+            bound = "above 0" if strict else "at least 0"
+            raise ValueError(f"{name} is {value!r}; it must be finite and {bound}")

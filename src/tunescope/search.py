@@ -16,12 +16,12 @@ one network share its forward calls with unchanged results.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Generator, Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import check_fields
 from .seeds import derive_int, derive_rng, derive_seed
 from .solver import (
     ProjectedObjective,
@@ -69,15 +69,11 @@ def default_deltas() -> tuple[float, ...]:
     return tuple(0.1 * np.pi * k for k in range(1, 6))
 
 
-# the least value of each run count, candidate count, budget per dimension
-# and stop rule; all but step_tolerance count something, so are integers
-_MINIMUMS = dict(
-    optimal_runs=1, optimal_budget_per_dim=1, seed_candidates=1, path_budget_per_dim=1,
-    subspace_runs=2, reconstruct_runs=1, reconstruct_budget_per_dim=1, stagnation_window=1,
-    step_tolerance=0.0,
+_COUNTS = dict(
+    seed=None, optimal_runs=1, optimal_budget_per_dim=1, seed_candidates=1,
+    path_budget_per_dim=1, subspace_runs=2, reconstruct_runs=1, reconstruct_budget_per_dim=1,
+    stagnation_window=1,
 )
-# the scales that must be finite and above 0
-_POSITIVE = ("energy", "optimal_sigma0", "path_sigma0")
 
 
 @dataclass(frozen=True)
@@ -88,11 +84,11 @@ class SearchConfig:
     ``optimal_budget_per_dim * N`` evaluations for each optimal-stimulus
     run and ``path_budget_per_dim * N`` per cone angle.  Cone angles
     (``deltas``, at least one, and ``subspace_delta``) must lie in
-    (0, pi].  A subspace needs at least two runs; every other run count,
-    candidate count and budget, and the stagnation window, is an integer
-    and at least 1.
-    ``energy`` and both initial steps are finite and above 0, and
-    ``step_tolerance`` is finite and at least 0.
+    (0, pi].  ``alpha_set`` holds at least one finite exponent.  The
+    seed is an integer.  A subspace needs at least two runs; every other
+    run count, candidate count and budget, and the stagnation window, is
+    an integer and at least 1.  ``energy`` and both initial steps are
+    finite and above 0, and ``step_tolerance`` is finite and at least 0.
     """
 
     seed: int = 0
@@ -118,17 +114,14 @@ class SearchConfig:
         for delta in (*self.deltas, self.subspace_delta):
             if not 0 < delta <= np.pi:
                 raise ValueError(f"cone angle {delta} outside (0, pi]")
-        for name, least in _MINIMUMS.items():
-            value = getattr(self, name)
-            if name != "step_tolerance" and (
-                isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            ):
-                raise ValueError(f"{name} is {value!r}; it must be an integer")
-            if not least <= value < np.inf:
-                raise ValueError(f"{name} is {value}; it must be finite, at least {least}")
-        for name in _POSITIVE:
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} is {getattr(self, name)}; it must be finite, above 0")
+        if not self.alpha_set or not np.all(np.isfinite(self.alpha_set)):
+            raise ValueError(
+                f"alpha_set is {self.alpha_set}; it needs at least one exponent, all finite"
+            )
+        check_fields(
+            self, _COUNTS, positive=("energy", "optimal_sigma0", "path_sigma0"),
+            nonnegative=("step_tolerance",),
+        )
 
 
 @dataclass(frozen=True)

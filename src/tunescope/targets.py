@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .artifacts import write_artifact
-from .errors import GeometryError
+from .errors import GeometryError, check_fields
 from .seeds import derive_seed
 from .stimulus import Stimulus
 
@@ -158,12 +158,14 @@ class LevelSpec:
     norm_threshold: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise GeometryError(f"kernel size {self.kernel_size} must be odd and positive")
+        check_fields(
+            self, dict(kernel_size=1, n_filters=1, pool_size=1, pool_stride=1, norm_radius=0),
+            positive=("pool_exponent", "norm_threshold"), nonnegative=("norm_strength",),
+        )
+        if self.kernel_size % 2 == 0:
+            raise GeometryError(f"kernel size {self.kernel_size} must be odd")
         if self.activation not in ("halfwave", "clipped", "identity"):
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.pool_size < 1 or self.pool_stride < 1:
-            raise GeometryError("pool size and stride must be positive")
 
 
 @dataclass(frozen=True)
@@ -183,6 +185,7 @@ class SthorSpec:
     declared_input: int | None = None
 
     def __post_init__(self) -> None:
+        check_fields(self, dict(top_layer_neurons=1, weight_seed=0))
         if not 1 <= len(self.levels) <= 2:
             raise GeometryError(f"{len(self.levels)} levels unsupported (want 1 or 2)")
         if self.levels[-1].n_filters != self.top_layer_neurons:
@@ -483,7 +486,8 @@ class HyperRanges:
 
     Geometry (kernel and pool sizes, strides) stays fixed so every
     network in a population shares one input shape; only landscape-
-    shaping hyperparameters vary.
+    shaping hyperparameters vary.  A value meets the ``LevelSpec`` rule
+    for its field when a network draws it.
     """
 
     n_filters: tuple[int, ...] = (8, 16, 32)
@@ -521,7 +525,7 @@ def sample_network_population(
             n_filters = (
                 base_spec.top_layer_neurons
                 if is_top
-                else int(rng.choice(np.asarray(ranges.n_filters)))
+                else rng.choice(np.asarray(ranges.n_filters)).item()
             )
             levels.append(
                 replace(

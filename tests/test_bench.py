@@ -117,6 +117,11 @@ class TestTaskGeneration:
         for item in task:
             assert np.linalg.norm(item.values) == pytest.approx(2.5, abs=1e-9)
 
+    @pytest.mark.parametrize("key, value", [("samples_per_class", 2.5), ("seed", 1.5)])
+    def test_non_integer_count_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TaskSpec(**{key: value})
+
     def test_classes_are_distinct(self):
         task = generate_task_stimuli(
             TaskSpec(n_classes=4, samples_per_class=1, phase_jitter=0.0,
@@ -381,6 +386,10 @@ def study_fixtures(n_targets, seed_offset=0):
 
 
 class TestRunStudy:
+    def test_fractional_pair_count_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="n_pairs"):
+            BenchConfig(store_dir=str(tmp_path / "store"), n_pairs=2.5)
+
     def test_smoke_emits_all_measure_columns(self, tmp_path):
         targets, task, refs = study_fixtures(2)
         config = BenchConfig(seed=1, search=MICRO, n_pairs=60, unit_sample=1,

@@ -12,6 +12,7 @@ import pytest
 import tunescope
 from tunescope.cli import main
 from tunescope.measures import MeasureReport
+from tunescope.targets import default_l2_spec, spec_to_json
 
 MICRO_SEARCH = {
     "optimal_runs": 1,
@@ -56,6 +57,9 @@ UNUSABLE_SEARCH = [
     {"stagnation_window": 0},
     {"step_tolerance": -1e-8},
     {"step_tolerance": float("nan")},
+    # no exponent to draw seeding noise from
+    {"alpha_set": []},
+    {"alpha_set": [float("nan")]},
 ]
 UNUSABLE_IDS = [f"{key}={value}" for bad in UNUSABLE_SEARCH for key, value in bad.items()]
 
@@ -150,6 +154,19 @@ class TestGenNet:
         assert main(["gen-net", "--spec", str(spec_path), "--out", str(second)]) == 1
         assert "pool_exponnt" in error_payload(capsys)["message"]
         assert not second.exists()
+
+    @pytest.mark.parametrize("key, value", [("pool_exponent", 0), ("kernel_size", 7.0),
+                                            ("n_filters", 0), ("norm_threshold", 0)])
+    def test_unusable_spec_value_is_config_error(self, tmp_path, capsys, key, value):
+        spec = spec_to_json(default_l2_spec())
+        spec["levels"][0][key] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "net"
+        assert main(["gen-net", "--spec", str(spec_path), "--out", str(out)]) == 1
+        error = error_payload(capsys)
+        assert error["type"] == "ValueError" and key in error["message"]
+        assert not out.exists()
 
 
 class TestCharacterize:
@@ -365,6 +382,14 @@ def study_blob(n_networks=2):
     }
 
 
+# study values no run can use: the key, its value and the field the error names
+UNUSABLE_STUDY = [
+    ("seed", 2.5, "seed"), ("seed", "7", "seed"), ("seed", True, "seed"),
+    ("levels", 0, "levels"), ("levels", 3, "levels"), ("levels", True, "levels"),
+    ("ranges", {"pool_exponent": [0.0]}, "pool_exponent"),
+]
+
+
 class TestBench:
     def write_config(self, tmp_path, blob):
         path = tmp_path / "study.json"
@@ -448,6 +473,17 @@ class TestBench:
         assert main(["bench", "--config", self.write_config(tmp_path, blob),
                      "--out", str(store), "--workers", "1"]) == 1
         assert f"{key} is 2.5" in error_payload(capsys)["message"]
+        assert not store.exists()
+
+    @pytest.mark.parametrize("key, value, named", UNUSABLE_STUDY,
+                             ids=[f"{key}={value!r}" for key, value, _ in UNUSABLE_STUDY])
+    def test_unusable_seed_levels_or_range_in_study_config(self, tmp_path, capsys, key, value,
+                                                           named):
+        blob = dict(study_blob(), **{key: value})
+        store = tmp_path / "store"
+        assert main(["bench", "--config", self.write_config(tmp_path, blob),
+                     "--out", str(store), "--workers", "1"]) == 1
+        assert named in error_payload(capsys)["message"]
         assert not store.exists()
 
     def test_workers_below_one(self, tmp_path, capsys):

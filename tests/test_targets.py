@@ -214,6 +214,15 @@ class TestSthorNetwork:
         with pytest.raises(GeometryError):
             SthorSpec(levels=(level,), top_layer_neurons=1, declared_input=13)
 
+    def test_zero_pool_exponent_rejected(self):
+        with pytest.raises(ValueError, match="pool_exponent"):
+            LevelSpec(kernel_size=7, n_filters=1, pool_size=5, pool_exponent=0)
+
+    def test_negative_weight_seed_rejected(self):
+        level = LevelSpec(kernel_size=7, n_filters=1, pool_size=5, pool_stride=1)
+        with pytest.raises(ValueError, match="weight_seed"):
+            SthorSpec(levels=(level,), top_layer_neurons=1, weight_seed=-1)
+
     def test_kernels_zero_mean_unit_norm(self):
         target = sthor_network(default_l2_spec(weight_seed=8))
         for w in target.meta["kernels"]:
