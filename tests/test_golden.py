@@ -5,8 +5,10 @@ writes: a one-level cascade from ``gen-net``; ``characterize``,
 ``paths`` and ``subspace`` on one of its units; ``encode`` of two
 references through the whole cascade; a ten-network ``bench`` store
 (so the correlation stage runs); ``measure`` under both the unit and the
-population protocol; and a ``report`` re-read of that store.  Budgets are cut to a few generations per
-search so the whole run takes seconds.
+population protocol; a ``report`` re-read of that store; and a
+two-level cascade with ``characterize`` on one of its units, with no
+task because the task above is 11x11.  Budgets are cut to a few
+generations per search so the whole run takes seconds.
 
 Float bytes depend on the numpy and BLAS build, so ``golden_sha256.json``
 records the build beside the hashes.  On any other build this test
@@ -62,6 +64,9 @@ COMMANDS = (
      "--out", "out/measure_pop"],
     ["report", "--store", "out/store", "--seed", "4", "--permutations", "200",
      "--out", "out/report"],
+    ["gen-net", "--levels", "2", "--seed", "5", "--out", "out/net2"],
+    ["characterize", "--target", "out/net2", "--unit", "0", "--seed", "3",
+     "--config", "search.json", "--walks", "2", "--out", "out/char_l2"],
 )
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_sha256.json").read_text())
