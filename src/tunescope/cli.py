@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -34,7 +34,7 @@ from .bench import (
     run_study,
     sample_references,
 )
-from .errors import check_fields
+from .errors import check_fields, from_mapping
 from .measures import (
     MeasureReport,
     build_fd_diagram,
@@ -95,26 +95,11 @@ def _require_path(token: str, what: str) -> Path:
     return path
 
 
-def _from_mapping(cls, blob, what: str):
-    """Build a config dataclass from a JSON object, rejecting unknown keys."""
-    if not isinstance(blob, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(blob).__name__}")
-    allowed = {f.name for f in dataclass_fields(cls)}
-    unknown = sorted(set(blob) - allowed)
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
-    coerced = {
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in blob.items()
-    }
-    return cls(**coerced)
-
-
 def _search_from(args, master_seed: int) -> SearchConfig:
     blob = {}
     if getattr(args, "config", None):
         blob = _load_json(_require_path(args.config, "solver config"))
-    config = _from_mapping(SearchConfig, blob, "solver config")
+    config = from_mapping(SearchConfig, blob, "solver config")
     return replace(config, seed=master_seed)
 
 
@@ -155,7 +140,7 @@ def _task_from(args) -> tuple[StimulusSet | None, dict | None]:
     if not token:
         return None, None
     blob = _load_json(_require_path(token, "task spec"))
-    spec = _from_mapping(TaskSpec, blob, "task spec")
+    spec = from_mapping(TaskSpec, blob, "task spec")
     return generate_task_stimuli(spec), blob
 
 
@@ -401,12 +386,10 @@ def _measure(run: _TargetRun, references: StimulusSet | None, unit_sample: int) 
 
 @dataclass(frozen=True)
 class _Study:
-    """A study config file; nested objects stay JSON until resolved.  It
-    gives ``levels`` (1 by default) or ``base_spec``, not both."""
+    """A study config file; nested objects stay JSON until resolved."""
 
     seed: int = 0
-    levels: int | None = None
-    base_spec: dict | None = None
+    levels: int = 1
     n_networks: int = 20
     ranges: dict = field(default_factory=dict)
     task: dict = field(default_factory=dict)
@@ -416,26 +399,21 @@ class _Study:
     search: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_fields(self, dict(seed=None, n_networks=1, n_references=1))
-        if self.levels is None:
-            return
-        if self.base_spec is not None:
-            raise ValueError("study config: give either levels or base_spec, not both")
-        check_fields(self, dict(levels=1))
+        check_fields(self, dict(seed=None, levels=1, n_networks=1, n_references=1))
         if self.levels not in _DEFAULT_SPECS:
             raise ValueError(f"levels is {self.levels}; it must be one of {list(_DEFAULT_SPECS)}")
 
 
 def _resolve_bench(args):
     blob = _load_json(_require_path(args.config, "study config"))
-    study = _from_mapping(_Study, blob, "study config")
+    study = from_mapping(_Study, blob, "study config")
     seed = _master_seed(args, study.seed)
     if "seed" in study.search:
         raise ValueError(
             "study config: per-network solver seeds derive from the master "
             "seed; remove search.seed"
         )
-    search = _from_mapping(SearchConfig, study.search, "solver config")
+    search = from_mapping(SearchConfig, study.search, "solver config")
     store = Path(args.out)
     if store.exists() and any(store.iterdir()) and not args.resume:
         raise ValueError(f"store {store} is not empty; pass --resume to continue")
@@ -448,14 +426,11 @@ def _resolve_bench(args):
         workers=args.workers,
     )
 
-    if study.base_spec is None:
-        base_spec = _DEFAULT_SPECS[study.levels or 1]()
-    else:
-        base_spec = spec_from_json(study.base_spec)
-    ranges = _from_mapping(HyperRanges, study.ranges, "hyperparameter ranges")
+    base_spec = _DEFAULT_SPECS[study.levels]()
+    ranges = from_mapping(HyperRanges, study.ranges, "hyperparameter ranges")
 
     task_blob = {"seed": derive_int(seed, "task"), **study.task}
-    task_spec = _from_mapping(TaskSpec, task_blob, "task spec")
+    task_spec = from_mapping(TaskSpec, task_blob, "task spec")
     if (task_spec.height, task_spec.width) != base_spec.input_shape:
         raise ValueError(
             f"task shape {(task_spec.height, task_spec.width)} != network "

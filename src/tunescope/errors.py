@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the field rule of
-every config record.
+"""Exception types shared across the toolkit, the field rule of every
+config record, and the decoder that builds a record from a JSON object.
 
 Every failure mode that callers are expected to catch gets its own class so
 that tests can assert on the exact condition rather than on message text.
@@ -7,6 +7,7 @@ that tests can assert on the exact condition rather than on message text.
 
 import math
 import numbers
+from dataclasses import fields
 
 
 class TunescopeError(Exception):
@@ -82,3 +83,18 @@ def check_fields(record, counts: dict, positive: tuple = (), nonnegative: tuple 
         if not (real and (0 < value if strict else 0 <= value) and value < math.inf):
             bound = "above 0" if strict else "at least 0"
             raise ValueError(f"{name} is {value!r}; it must be finite and {bound}")
+
+
+def from_mapping(cls, blob, what: str):
+    """Build a config dataclass from a JSON object, rejecting unknown keys."""
+    if not isinstance(blob, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(blob).__name__}")
+    allowed = {f.name for f in fields(cls)}
+    unknown = sorted(set(blob) - allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    coerced = {
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in blob.items()
+    }
+    return cls(**coerced)

@@ -130,16 +130,28 @@ class StimulusSet:
         return np.stack([s.values for s in self.items])
 
 
+def _scale_rows(rows: np.ndarray, energy: float) -> np.ndarray:
+    """Each row of a 2-D array radially projected to norm ``energy``."""
+    # One norm per row: the batched np.linalg.norm(raw, axis=1) in
+    # search.sphere_search_objective sums in another order and differs in
+    # the last bit for about a third of rows, so sharing it would move
+    # every search trajectory.
+    if not np.all(np.isfinite(rows)):
+        raise NonFiniteError("cannot project non-finite values")
+    scaled = np.empty_like(rows)
+    for row, pattern in zip(scaled, rows):
+        norm = float(np.linalg.norm(pattern))
+        if norm == 0.0:
+            raise ZeroVectorError("cannot project the zero vector onto the sphere")
+        np.multiply(pattern, energy / norm, out=row)
+    return scaled
+
+
 def project_sphere(values: np.ndarray, energy: float, shape: tuple[int, int]) -> Stimulus:
     """Radially project a raw array onto the sphere of the given energy."""
-    height, width = int(shape[0]), int(shape[1])
     flat = np.asarray(values, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(flat)):
-        raise NonFiniteError("cannot project non-finite values")
-    norm = float(np.linalg.norm(flat))
-    if norm == 0.0:
-        raise ZeroVectorError("cannot project the zero vector onto the sphere")
-    return Stimulus(values=flat * (energy / norm), height=height, width=width, energy=energy)
+    scaled = _scale_rows(flat[None, :], energy)[0]
+    return Stimulus(values=scaled, height=int(shape[0]), width=int(shape[1]), energy=energy)
 
 
 def project_cone_batch(
@@ -203,17 +215,8 @@ def sample_pink_noise(
         envelope = np.zeros_like(freq)
         envelope[nonzero] = freq[nonzero] ** (-a)
         spectrum[k :: len(alphas)] *= envelope
-    # what project_sphere does to each row, with one finiteness check
     shaped = np.ascontiguousarray(np.fft.ifft2(spectrum).real).reshape(count, height * width)
-    if not np.all(np.isfinite(shaped)):
-        raise NonFiniteError("cannot project non-finite values")
-    rows = np.empty_like(shaped)
-    for row, pattern in zip(rows, shaped):
-        norm = float(np.linalg.norm(pattern))
-        if norm == 0.0:
-            raise ZeroVectorError("cannot project the zero vector onto the sphere")
-        np.multiply(pattern, energy / norm, out=row)
-    return rows
+    return _scale_rows(shaped, energy)
 
 
 def random_orthogonal_unit(x_hat: Stimulus, rng: np.random.Generator) -> Stimulus:
@@ -226,12 +229,7 @@ def random_orthogonal_unit(x_hat: Stimulus, rng: np.random.Generator) -> Stimulu
         residual = draw - (axis @ draw) * axis
         norm = float(np.linalg.norm(residual))
         if norm > _DEGENERATE_TOL:
-            return Stimulus(
-                values=residual * (x_hat.energy / norm),
-                height=x_hat.height,
-                width=x_hat.width,
-                energy=x_hat.energy,
-            )
+            return project_sphere(residual, x_hat.energy, x_hat.shape)
     raise ImprobableFailureError("100 consecutive degenerate orthogonal draws")
 
 

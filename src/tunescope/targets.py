@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .artifacts import write_artifact
-from .errors import GeometryError, check_fields
-from .seeds import derive_seed
+from .errors import GeometryError, check_fields, from_mapping
+from .seeds import derive_int, derive_rng
 from .stimulus import Stimulus
 
 __all__ = [
@@ -517,8 +517,8 @@ def sample_network_population(
     handles = []
     manifest = []
     for i in range(n_networks):
-        rng = np.random.default_rng(derive_seed(seed, "population", i, "hypers"))
-        weight_seed = int(derive_seed(seed, "population", i, "weights").generate_state(1, np.uint64)[0])
+        rng = derive_rng(seed, "population", i, "hypers")
+        weight_seed = derive_int(seed, "population", i, "weights")
         levels = []
         for level_index, level in enumerate(base_spec.levels):
             is_top = level_index == len(base_spec.levels) - 1
@@ -535,12 +535,7 @@ def sample_network_population(
                     norm_strength=float(rng.choice(np.asarray(ranges.norm_strength))),
                 )
             )
-        spec = SthorSpec(
-            levels=tuple(levels),
-            top_layer_neurons=base_spec.top_layer_neurons,
-            weight_seed=weight_seed,
-            declared_input=base_spec.declared_input,
-        )
+        spec = replace(base_spec, levels=tuple(levels), weight_seed=weight_seed)
         handles.append(sthor_network(spec))
         manifest.append(
             {
@@ -570,16 +565,11 @@ def spec_to_json(spec: SthorSpec) -> dict:
 def spec_from_json(blob: dict) -> SthorSpec:
     """Inverse of ``spec_to_json``.
 
-    Omitted keys, and top-level keys set to null, take the dataclass
-    defaults; unknown keys raise ``TypeError``.
+    Omitted keys take the dataclass defaults; an unknown key raises
+    ``ValueError``, as in every other config file.
     """
-    levels = []
-    for lv in blob["levels"]:
-        if "clip_bounds" in lv:
-            lv = {**lv, "clip_bounds": tuple(lv["clip_bounds"])}
-        levels.append(LevelSpec(**lv))
-    top = {key: value for key, value in blob.items() if value is not None}
-    return SthorSpec(**{**top, "levels": tuple(levels)})
+    levels = tuple(from_mapping(LevelSpec, level, "network level") for level in blob["levels"])
+    return from_mapping(SthorSpec, {**blob, "levels": levels}, "network spec")
 
 
 def write_network_weights(kernels: list[np.ndarray], path) -> None:

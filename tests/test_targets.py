@@ -480,11 +480,11 @@ class TestSerialization:
     def test_spec_json_unknown_key_rejected(self):
         blob = spec_to_json(default_l1_spec())
         blob["levels"][0]["pool_exponnt"] = 2.0
-        with pytest.raises(TypeError, match="pool_exponnt"):
+        with pytest.raises(ValueError, match="pool_exponnt"):
             spec_from_json(blob)
         blob = spec_to_json(default_l1_spec())
         blob["weight_sed"] = 1
-        with pytest.raises(TypeError, match="weight_sed"):
+        with pytest.raises(ValueError, match="weight_sed"):
             spec_from_json(blob)
 
     def test_spec_json_omitted_keys_take_defaults(self):
