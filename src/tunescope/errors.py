@@ -79,10 +79,15 @@ def check_fields(record, counts: dict, positive: tuple = (), nonnegative: tuple 
     for name in (*positive, *nonnegative):
         value = getattr(record, name)
         strict = name in positive
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if not (real and (0 < value if strict else 0 <= value) and value < math.inf):
+        if not (is_finite_real(value) and (0 < value if strict else 0 <= value)):
             bound = "above 0" if strict else "at least 0"
             raise ValueError(f"{name} is {value!r}; it must be finite and {bound}")
+
+
+def is_finite_real(value) -> bool:
+    """Whether ``value`` is a real number other than ``bool``, infinity and NaN."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and -math.inf < value < math.inf
 
 
 def from_mapping(cls, blob, what: str):

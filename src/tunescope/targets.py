@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .artifacts import write_artifact
-from .errors import GeometryError, check_fields, from_mapping
+from .errors import GeometryError, check_fields, from_mapping, is_finite_real
 from .seeds import derive_int, derive_rng
 from .stimulus import Stimulus
 
@@ -49,8 +49,9 @@ __all__ = [
 ]
 
 # Rows per forward call, by cascade depth.  Per-row cost of one call on
-# a 2-vCPU Xeon host with one BLAS thread: at one level 20.8 us at 18
-# rows and 12.1 us at 64; at two levels 125 us at 22 rows and 155 us at 64.
+# a 2-vCPU Xeon host with one BLAS thread, median of five probe runs: at
+# one level 10.3 us at 18 rows and 5.8 us at 64; at two levels 59.6 us at
+# 22 rows and 56.3 us at 64, a gap inside the runs' spread.
 _FORWARD_CHUNK = {1: 64, 2: 22}
 _WEIGHTS_MAGIC = b"STHORNET"
 _WEIGHTS_VERSION = 1
@@ -166,6 +167,9 @@ class LevelSpec:
             raise GeometryError(f"kernel size {self.kernel_size} must be odd")
         if self.activation not in ("halfwave", "clipped", "identity"):
             raise ValueError(f"unknown activation {self.activation!r}")
+        bounds = tuple(self.clip_bounds)
+        if len(bounds) != 2 or not all(map(is_finite_real, bounds)) or bounds[0] >= bounds[1]:
+            raise ValueError(f"clip_bounds is {bounds!r}; it must be two finite reals, low < high")
 
 
 @dataclass(frozen=True)
@@ -186,6 +190,8 @@ class SthorSpec:
 
     def __post_init__(self) -> None:
         check_fields(self, dict(top_layer_neurons=1, weight_seed=0))
+        if self.declared_input is not None:
+            check_fields(self, dict(declared_input=1))
         if not 1 <= len(self.levels) <= 2:
             raise GeometryError(f"{len(self.levels)} levels unsupported (want 1 or 2)")
         if self.levels[-1].n_filters != self.top_layer_neurons:
@@ -486,8 +492,8 @@ class HyperRanges:
 
     Geometry (kernel and pool sizes, strides) stays fixed so every
     network in a population shares one input shape; only landscape-
-    shaping hyperparameters vary.  A value meets the ``LevelSpec`` rule
-    for its field when a network draws it.
+    shaping hyperparameters vary.  Every value meets the ``LevelSpec``
+    rule for its field, whichever values a network draws.
     """
 
     n_filters: tuple[int, ...] = (8, 16, 32)
@@ -497,6 +503,9 @@ class HyperRanges:
     def __post_init__(self) -> None:
         if not (self.n_filters and self.pool_exponent and self.norm_strength):
             raise ValueError("empty hyperparameter range")
+        for name in ("n_filters", "pool_exponent", "norm_strength"):
+            for value in getattr(self, name):
+                LevelSpec(**{"kernel_size": 1, "n_filters": 1, name: value})
 
 
 def sample_network_population(

@@ -156,10 +156,13 @@ class TestGenNet:
         assert not second.exists()
 
     @pytest.mark.parametrize("key, value", [("pool_exponent", 0), ("kernel_size", 7.0),
-                                            ("n_filters", 0), ("norm_threshold", 0)])
+                                            ("n_filters", 0), ("norm_threshold", 0),
+                                            ("clip_bounds", [1.0, 0.0]),
+                                            ("declared_input", 21.0)])
     def test_unusable_spec_value_is_config_error(self, tmp_path, capsys, key, value):
         spec = spec_to_json(default_l2_spec())
-        spec["levels"][0][key] = value
+        record = spec if key in spec else spec["levels"][0]
+        record[key] = value
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         out = tmp_path / "net"
@@ -382,11 +385,15 @@ def study_blob(n_networks=2):
     }
 
 
-# study values no run can use: the key, its value and the field the error names
+# study values no run can use: the keys set, and the field the error names
 UNUSABLE_STUDY = [
-    ("seed", 2.5, "seed"), ("seed", "7", "seed"), ("seed", True, "seed"),
-    ("levels", 0, "levels"), ("levels", 3, "levels"), ("levels", True, "levels"),
-    ("ranges", {"pool_exponent": [0.0]}, "pool_exponent"),
+    ({"seed": 2.5}, "seed"), ({"seed": "7"}, "seed"), ({"seed": True}, "seed"),
+    ({"levels": 0}, "levels"), ({"levels": 3}, "levels"), ({"levels": True}, "levels"),
+    ({"ranges": {"pool_exponent": [0.0]}}, "pool_exponent"),
+    # a bad value that only some seeds draw into the one network
+    *(({"seed": seed, "n_networks": 1, "ranges": {"pool_exponent": [2.0, 0.0]}},
+       "pool_exponent") for seed in range(1, 8)),
+    ({"base_spec": {}}, "base_spec"),
 ]
 
 
@@ -475,11 +482,13 @@ class TestBench:
         assert f"{key} is 2.5" in error_payload(capsys)["message"]
         assert not store.exists()
 
-    @pytest.mark.parametrize("key, value, named", UNUSABLE_STUDY,
-                             ids=[f"{key}={value!r}" for key, value, _ in UNUSABLE_STUDY])
-    def test_unusable_seed_levels_or_range_in_study_config(self, tmp_path, capsys, key, value,
-                                                           named):
-        blob = dict(study_blob(), **{key: value})
+    @pytest.mark.parametrize(
+        "keys, named", UNUSABLE_STUDY,
+        ids=[",".join(f"{key}={value!r}" for key, value in keys.items())
+             for keys, _ in UNUSABLE_STUDY],
+    )
+    def test_unusable_seed_levels_or_range_in_study_config(self, tmp_path, capsys, keys, named):
+        blob = dict(study_blob(), **keys)
         store = tmp_path / "store"
         assert main(["bench", "--config", self.write_config(tmp_path, blob),
                      "--out", str(store), "--workers", "1"]) == 1
