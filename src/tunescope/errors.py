@@ -85,7 +85,7 @@ def check_fields(record, counts: dict, positive: tuple = (), nonnegative: tuple 
 
 
 def is_finite_real(value) -> bool:
-    """Whether ``value`` is a real number other than ``bool``, infinity and NaN."""
+    """Whether ``value`` is a real number other than ``bool``, infinity or NaN."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     return real and -math.inf < value < math.inf
 

@@ -492,8 +492,8 @@ class HyperRanges:
 
     Geometry (kernel and pool sizes, strides) stays fixed so every
     network in a population shares one input shape; only landscape-
-    shaping hyperparameters vary.  Every value meets the ``LevelSpec``
-    rule for its field, whichever values a network draws.
+    shaping hyperparameters vary.  Every value must meet the
+    ``LevelSpec`` rule for its field, whether or not a network draws it.
     """
 
     n_filters: tuple[int, ...] = (8, 16, 32)
