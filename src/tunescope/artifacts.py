@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import os
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["write_artifact", "write_json"]
+__all__ = ["write_artifact", "write_json", "write_csv"]
 
 
 def write_artifact(path, payload: str | bytes) -> None:
@@ -46,3 +47,20 @@ def _jsonable(obj):
 def write_json(path, blob) -> None:
     """The one JSON artifact format: sorted keys, two-space indent."""
     write_artifact(path, json.dumps(blob, indent=2, sort_keys=True, default=_jsonable) + "\n")
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (str, Integral)):
+        return str(value)
+    return repr(float(value))
+
+
+def write_csv(path, rows) -> None:
+    """The one CSV artifact format: a line per row, comma-separated cells.
+
+    None is an empty cell, text and integers are written as they are, and
+    any other number as ``repr(float(x))``, which round-trips exactly.
+    """
+    write_artifact(path, "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_artifact, write_json
+from .artifacts import write_csv, write_json
 from .errors import DegenerateSplitError, check_fields
 from .measures import (
     MeasureReport,
@@ -485,13 +485,12 @@ def _study_network(
     split_seed: int,
     unit_sample: int,
     net_dir: Path,
-) -> tuple[float, MeasureReport]:
+) -> None:
     performance = pair_matching_performance(target, task, n_pairs, split_seed)
     report, artifacts = characterize_population(
         target, task, references, search_config, unit_sample
     )
     _write_network_artifacts(net_dir, performance, report, artifacts)
-    return performance, report
 
 
 def _sha256(*arrays) -> str:
@@ -546,17 +545,11 @@ def _study_fingerprint(
     return json.loads(json.dumps(blob))
 
 
-def _float_cell(value) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def write_measures_csv(path, performances, reports) -> None:
-    lines = ["network,performance," + ",".join(MeasureReport.FIELDS)]
+    rows = [("network", "performance", *MeasureReport.FIELDS)]
     for index, (performance, report) in enumerate(zip(performances, reports)):
-        cells = [str(index), repr(float(performance))]
-        cells += [_float_cell(getattr(report, name)) for name in MeasureReport.FIELDS]
-        lines.append(",".join(cells))
-    write_artifact(path, "\n".join(lines) + "\n")
+        rows.append((index, performance, *report.as_dict().values()))
+    write_csv(path, rows)
 
 
 def correlation_stage(
@@ -589,9 +582,10 @@ def run_study(
 
     Per-network results are persisted under ``store_dir`` as they finish
     and are reused on re-runs, so an interrupted study continues instead
-    of restarting.  The correlation stage needs ``MIN_NETWORKS_FOR_TABLE``
-    networks and is skipped below that (smoke runs still emit the measure
-    table and ``summary.json``).
+    of restarting.  The tables are built from the store, read back
+    through ``collect_reports`` as ``report`` reads it.  The correlation
+    stage needs ``MIN_NETWORKS_FOR_TABLE`` networks and is skipped below
+    that (smoke runs still emit the measure table and ``summary.json``).
 
     With ``workers`` above 1, each pending network's handle is pickled to
     a worker process, which studies that very handle; every built-in
@@ -612,30 +606,23 @@ def run_study(
         write_json(fp_path, fingerprint)
 
     split_seed = derive_int(config.seed, "pairs")
-    results: dict[int, tuple[float, MeasureReport]] = {}
-    pending = []
     jobs = []
     for index, target in enumerate(population):
         net_dir = _network_dir(store, index)
-        loaded = _load_network(net_dir)
-        if loaded is not None:
-            results[index] = loaded
-            continue
-        pending.append(index)
-        search_config = replace(config.search, seed=derive_int(config.seed, "network", index))
-        jobs.append(
-            (target, task, references, search_config, config.n_pairs, split_seed,
-             config.unit_sample, net_dir)
-        )
+        if _load_network(net_dir) is None:
+            search_config = replace(config.search, seed=derive_int(config.seed, "network", index))
+            jobs.append(
+                (target, task, references, search_config, config.n_pairs, split_seed,
+                 config.unit_sample, net_dir)
+            )
     if config.workers > 1 and jobs:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(_study_network, *zip(*jobs)))
+            list(pool.map(_study_network, *zip(*jobs)))
     else:
-        outcomes = [_study_network(*job) for job in jobs]
-    results.update(zip(pending, outcomes))
+        for job in jobs:
+            _study_network(*job)
 
-    performances = tuple(results[i][0] for i in range(len(population)))
-    reports = tuple(results[i][1] for i in range(len(population)))
+    performances, reports = collect_reports(store)
     write_measures_csv(store / "measures.csv", performances, reports)
 
     correlation_rows, all_r2 = correlation_stage(store, reports, performances, config.seed)
@@ -648,28 +635,22 @@ def run_study(
 
 
 def collect_reports(store_dir) -> tuple[tuple[float, ...], tuple[MeasureReport, ...]]:
-    """Re-read every persisted network report from an artifact store.
+    """Re-read, in index order, every network report that an artifact
+    store's ``study_config.json`` records.
 
-    Unlike ``--resume``, which recomputes such a network, a
-    ``network_*`` directory whose ``report.json`` is missing or
-    unreadable is an error here: a table over the remaining networks
-    would silently describe a different study.
+    Unlike ``--resume``, which recomputes such a network, a network whose
+    directory or ``report.json`` is missing or unreadable is an error
+    here: a table over the remaining networks would silently describe a
+    different study.
     """
     store = Path(store_dir)
-    loaded = []
-    unreadable = []
-    for net_dir in sorted(store.glob("network_*")):
-        entry = _load_network(net_dir)
-        if entry is None:
-            unreadable.append(net_dir.name)
-        else:
-            loaded.append(entry)
+    with open(store / "study_config.json", encoding="ascii") as fh:
+        n_networks = json.load(fh)["n_networks"]
+    net_dirs = [_network_dir(store, index) for index in range(n_networks)]
+    loaded = [_load_network(net_dir) for net_dir in net_dirs]
+    unreadable = [net_dir.name for net_dir, entry in zip(net_dirs, loaded) if entry is None]
     if unreadable:
         raise ValueError(
             f"missing or unreadable report.json under {store}: {', '.join(unreadable)}"
         )
-    if not loaded:
-        raise FileNotFoundError(f"no network reports under {store}")
-    performances = tuple(entry[0] for entry in loaded)
-    reports = tuple(entry[1] for entry in loaded)
-    return performances, reports
+    return tuple(entry[0] for entry in loaded), tuple(entry[1] for entry in loaded)

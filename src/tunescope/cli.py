@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_artifact, write_json
+from .artifacts import write_csv, write_json
 from .bench import (
     MIN_NETWORKS_FOR_TABLE,
     BenchConfig,
@@ -151,9 +151,8 @@ def _task_from(args) -> tuple[StimulusSet | None, dict | None]:
 def _write_matrix_csv(path: Path, stimuli) -> None:
     """Many stimuli in one file: a shape line, then one row per stimulus."""
     first = stimuli[0]
-    lines = ["height,width,count", f"{first.height},{first.width},{len(stimuli)}"]
-    lines += [",".join(f"{float(v)!r}" for v in stimulus.values) for stimulus in stimuli]
-    write_artifact(path, "\n".join(lines) + "\n")
+    rows = [("height", "width", "count"), (first.height, first.width, len(stimuli))]
+    write_csv(path, rows + [stimulus.values for stimulus in stimuli])
 
 
 def _write_stimulus(stimulus: Stimulus, stem: Path) -> None:
@@ -468,8 +467,7 @@ def _bench(population, task, references, config: BenchConfig, run_json: dict) ->
 
 def _resolve_report(args):
     store = _require_path(args.store, "store")
-    if not store.is_dir():
-        raise ValueError(f"store {store} is not a directory")
+    _require_path(store / "study_config.json", "store config")
     if args.permutations < 1:
         raise ValueError(f"--permutations is {args.permutations}; it must be at least 1")
     out = Path(args.out) if args.out else store

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import write_artifact
+from .artifacts import write_csv
 from .errors import NonPositiveOptimumError, ZeroVectorError, ZeroVarianceError
 from .search import PathResult, ReconstructionSet, SubspaceSample
 from .stimulus import Stimulus, StimulusSet
@@ -286,8 +286,8 @@ def build_fd_diagram(
 
 
 def write_fd_csv(samples: tuple[tuple[float, float, str], ...], path) -> None:
-    rows = "".join(f"{series},{delta!r},{fitness!r}\n" for delta, fitness, series in samples)
-    write_artifact(path, "series,delta,fitness\n" + rows)
+    rows = [(series, delta, fitness) for delta, fitness, series in samples]
+    write_csv(path, [("series", "delta", "fitness"), *rows])
 
 
 def report_to_json(report: MeasureReport) -> dict:

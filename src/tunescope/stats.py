@@ -12,7 +12,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .artifacts import write_artifact
+from .artifacts import write_csv
 from .errors import RankDeficientError, ZeroVarianceError
 
 __all__ = [
@@ -233,18 +233,7 @@ def d_prime(a, b) -> float:
 
 
 def write_correlation_csv(rows: list[dict], path) -> None:
-    """Emit a (measure, spearman, pearson, p_perm) table.
-
-    A None entry becomes an empty field, so summary rows that only carry
-    one statistic stay machine-parseable.
-    """
-
-    def cell(value) -> str:
-        return "" if value is None else repr(value)
-
-    lines = ["measure,spearman,pearson,p_perm"]
-    lines += [
-        f"{row['measure']},{cell(row['spearman'])},{cell(row['pearson'])},{cell(row['p_perm'])}"
-        for row in rows
-    ]
-    write_artifact(path, "\n".join(lines) + "\n")
+    """Emit a (measure, spearman, pearson, p_perm) table; the ALL row
+    carries only its joint fit, as ``pearson``."""
+    columns = ("measure", "spearman", "pearson", "p_perm")
+    write_csv(path, [columns, *([row[name] for name in columns] for row in rows)])

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import write_artifact
+from .artifacts import write_artifact, write_csv
 from .errors import EmptySetError, ImprobableFailureError, NonFiniteError, ZeroVectorError
 
 __all__ = [
@@ -251,9 +251,8 @@ def angular_distance(x: Stimulus, y: Stimulus) -> float:
 
 def write_stimulus_csv(stimulus: Stimulus, path) -> None:
     """Flat CSV: first line ``height,width``, second line energy, then values."""
-    lines = [f"{stimulus.height},{stimulus.width}", f"{float(stimulus.energy)!r}"]
-    lines += [f"{float(v)!r}" for v in stimulus.values]
-    write_artifact(path, "\n".join(lines) + "\n")
+    rows = [(stimulus.height, stimulus.width), (stimulus.energy,)]
+    write_csv(path, rows + [(v,) for v in stimulus.values])
 
 
 def read_stimulus_csv(path) -> Stimulus:

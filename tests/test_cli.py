@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -639,6 +640,7 @@ class TestReport:
                 "provenance": {"level": "population", "seed": seed},
             }
             (net / "report.json").write_text(json.dumps(blob, sort_keys=True))
+        (store / "study_config.json").write_text(json.dumps({"n_networks": n}))
         return store
 
     def test_small_store_skips_correlation(self, tmp_path, capsys):
@@ -698,8 +700,47 @@ class TestReport:
         assert "network_002" not in error["message"]
         assert (store / "summary.json").read_bytes() == previous
 
+    def test_interrupted_store_fails(self, tmp_path, capsys):
+        # an interrupted run can leave a store without its last networks
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps(study_blob(n_networks=12)))
+        store = tmp_path / "store"
+        assert main(["bench", "--config", str(config), "--out", str(store),
+                     "--workers", "1"]) == 0
+        names = ("summary.json", "correlation.csv", "measures.csv")
+        previous = {name: (store / name).read_bytes() for name in names}
+        shutil.rmtree(store / "network_010")
+        shutil.rmtree(store / "network_011")
+        capsys.readouterr()
+        assert main(["report", "--store", str(store), "--seed", "4"]) == 2
+        message = error_payload(capsys)["message"]
+        assert "network_010" in message and "network_011" in message
+        assert "network_009" not in message
+        for name in names:
+            assert (store / name).read_bytes() == previous[name], name
+
+    def test_large_store_reads_in_index_order(self, tmp_path, capsys):
+        store = self.fabricate_store(tmp_path, n=1001)
+        assert main(["report", "--store", str(store), "--permutations", "10"]) == 0
+        expected = [
+            json.loads((store / f"network_{i:03d}" / "report.json").read_text())["performance"]
+            for i in range(1001)
+        ]
+        summary = json.loads((store / "summary.json").read_text())
+        assert summary["n_networks"] == 1001
+        assert summary["performances"] == expected
+
     def test_missing_store_is_config_error(self, tmp_path, capsys):
         assert main(["report", "--store", str(tmp_path / "absent")]) == 1
+
+    def test_store_without_study_config_is_config_error(self, tmp_path, capsys):
+        store = self.fabricate_store(tmp_path, n=10)
+        (store / "study_config.json").unlink()
+        out = tmp_path / "rep"
+        assert main(["report", "--store", str(store), "--out", str(out)]) == 1
+        assert "study_config.json" in error_payload(capsys)["message"]
+        assert not out.exists()
+        assert not (store / "summary.json").exists()
 
     @pytest.mark.parametrize("permutations", ["0", "-5"])
     def test_permutations_below_one_is_config_error(self, tmp_path, capsys, permutations):
