@@ -52,12 +52,10 @@ __all__ = [
     "BenchConfig",
     "BenchResult",
     "MIN_NETWORKS_FOR_TABLE",
-    "PairMatchingDetail",
     "generate_task_stimuli",
     "sample_references",
     "sample_pairs",
     "choose_distance_threshold",
-    "pair_matching_detail",
     "pair_matching_performance",
     "characterize_unit",
     "characterize_population",
@@ -166,15 +164,6 @@ def sample_references(task: StimulusSet, n: int, seed: int) -> StimulusSet:
 # pair-matching performance
 
 
-@dataclass(frozen=True)
-class PairMatchingDetail:
-    accuracy: float
-    threshold: float
-    train_accuracy: float
-    n_train: int
-    n_test: int
-
-
 def sample_pairs(
     labels, n_pairs: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -226,13 +215,9 @@ def choose_distance_threshold(distances: np.ndarray, same_flags: np.ndarray) -> 
     return best[0]
 
 
-def _split_accuracy(distances, flags, threshold) -> float:
-    return float(np.mean((distances <= threshold) == flags))
-
-
-def pair_matching_detail(
+def pair_matching_performance(
     target: TargetHandle, task: StimulusSet, n_pairs: int = 200, split_seed: int = 0
-) -> PairMatchingDetail:
+) -> float:
     """Threshold chosen on the train half, accuracy from the test half."""
     if task.labels is None:
         raise ValueError("task set must be labelled")
@@ -256,19 +241,7 @@ def pair_matching_detail(
             raise DegenerateSplitError(f"{half_name} half has only one pair type")
 
     threshold = choose_distance_threshold(distances[train], flags[train])
-    return PairMatchingDetail(
-        accuracy=_split_accuracy(distances[test], flags[test], threshold),
-        threshold=threshold,
-        train_accuracy=_split_accuracy(distances[train], flags[train], threshold),
-        n_train=len(train),
-        n_test=len(test),
-    )
-
-
-def pair_matching_performance(
-    target: TargetHandle, task: StimulusSet, n_pairs: int = 200, split_seed: int = 0
-) -> float:
-    return pair_matching_detail(target, task, n_pairs, split_seed).accuracy
+    return float(np.mean((distances[test] <= threshold) == flags[test]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from tunescope.bench import (
     collect_reports,
     correlation_table,
     generate_task_stimuli,
-    pair_matching_detail,
     pair_matching_performance,
     run_study,
     sample_pairs,
@@ -176,7 +175,7 @@ class TestPairMatching:
         task = small_task()
         identity = TargetHandle(11, 11, 121, lambda m: np.array(m), name="identity")
         n_pairs, split_seed = 120, 17
-        detail = pair_matching_detail(identity, task, n_pairs, split_seed)
+        accuracy = pair_matching_performance(identity, task, n_pairs, split_seed)
 
         # replay the seeded sampling that the implementation commits to
         rng = derive_rng(split_seed, "pairs")
@@ -188,13 +187,12 @@ class TestPairMatching:
         order = rng.permutation(n_pairs)
         train, test = order[: n_pairs // 2], order[n_pairs // 2 :]
         assert set(train.tolist()).isdisjoint(test.tolist())
+        assert len(train) == 60 and len(test) == 60
         expected = choose_distance_threshold(distances[train], flags[train])
-        assert detail.threshold == expected
         held_out = float(
             np.mean((distances[test] <= expected) == flags[test])
         )
-        assert detail.accuracy == held_out
-        assert detail.n_train == 60 and detail.n_test == 60
+        assert accuracy == held_out
 
     def test_balanced_pair_sampling(self):
         task = small_task()
