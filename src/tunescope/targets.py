@@ -222,25 +222,15 @@ def _receptive_field(levels: tuple[LevelSpec, ...]) -> int:
     return rf
 
 
-def _check_geometry(spec: SthorSpec) -> tuple[int, list[int]]:
-    """Validate the cascade; return the input side and each level's output side."""
-    side = spec.input_shape[0]
-    size = side
+def _level_sides(spec: SthorSpec) -> list[int]:
+    """Each level's output side.  The input is the composed receptive
+    field, so every pool tiles its map and the last side is 1."""
+    size = spec.input_shape[0]
     level_sides = []
-    for i, level in enumerate(spec.levels):
-        size = size - level.kernel_size + 1
-        if size < 1:
-            raise GeometryError(f"level {i}: convolution exhausts the map (side {size})")
-        if (size - level.pool_size) % level.pool_stride != 0:
-            raise GeometryError(
-                f"level {i}: pool {level.pool_size}/{level.pool_stride} "
-                f"does not tile a {size}-wide map"
-            )
-        size = (size - level.pool_size) // level.pool_stride + 1
+    for level in spec.levels:
+        size = (size - level.kernel_size + 1 - level.pool_size) // level.pool_stride + 1
         level_sides.append(size)
-    if size != 1:
-        raise GeometryError(f"cascade leaves a {size}x{size} map, expected 1x1")
-    return side, level_sides
+    return level_sides
 
 
 def _draw_kernels(spec: SthorSpec) -> list[np.ndarray]:
@@ -384,7 +374,8 @@ def sthor_network(spec: SthorSpec, kernels: list[np.ndarray] | None = None) -> T
     Random kernels are zero-mean and unit-norm per filter; explicit
     kernels are used as given (tests rely on delta kernels).
     """
-    side, level_sides = _check_geometry(spec)
+    side = spec.input_shape[0]
+    level_sides = _level_sides(spec)
     if kernels is None:
         kernels = _draw_kernels(spec)
     else:
@@ -577,6 +568,8 @@ def spec_from_json(blob: dict) -> SthorSpec:
     Omitted keys take the dataclass defaults; an unknown key raises
     ``ValueError``, as in every other config file.
     """
+    if not isinstance(blob, dict) or not isinstance(blob.get("levels"), (list, tuple)):
+        raise ValueError('a network spec needs a "levels" list')
     levels = tuple(from_mapping(LevelSpec, level, "network level") for level in blob["levels"])
     return from_mapping(SthorSpec, {**blob, "levels": levels}, "network spec")
 

@@ -172,6 +172,17 @@ class TestGenNet:
         assert error["type"] == "ValueError" and key in error["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("blob", [{}, [], {"levels": None}],
+                             ids=["empty", "list", "null-levels"])
+    def test_spec_without_levels_is_config_error(self, tmp_path, capsys, blob):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(blob))
+        out = tmp_path / "net"
+        assert main(["gen-net", "--spec", str(spec_path), "--out", str(out)]) == 1
+        error = error_payload(capsys)
+        assert error["type"] == "ValueError" and '"levels" list' in error["message"]
+        assert not out.exists()
+
 
 class TestCharacterize:
     def test_linear_builtin_baseline(self, tmp_path, capsys):
