@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +51,7 @@ def write_json(path, blob) -> None:
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (str, Integral)):
+    if isinstance(value, (str, int, np.integer)):
         return str(value)
     return repr(float(value))
 
