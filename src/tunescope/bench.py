@@ -11,11 +11,9 @@ natural-image benchmark; only the variation across networks matters.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +43,7 @@ from .stimulus import (
     write_stimulus_csv,
     write_stimulus_pgm,
 )
-from .targets import TargetHandle, match_fitness, spec_to_json, unit_view
+from .targets import TargetHandle, float64_sha256, match_fitness, unit_view
 
 __all__ = [
     "TaskSpec",
@@ -466,39 +464,6 @@ def _study_network(
     _write_network_artifacts(net_dir, performance, report, artifacts)
 
 
-def _sha256(*arrays) -> str:
-    digest = hashlib.sha256()
-    for array in arrays:
-        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
-    return digest.hexdigest()
-
-
-def _bound_sha256(function) -> str | None:
-    """Digest of the arrays and floats a ``functools.partial`` binds;
-    None when it binds none or ``function`` is no partial."""
-    bound = (*function.args, *function.keywords.values()) if isinstance(function, partial) else ()
-    data = [value for value in bound if isinstance(value, (np.ndarray, float))]
-    return _sha256(*data) if data else None
-
-
-def _network_fingerprint(handle: TargetHandle):
-    """Spec and kernel digest of a built cascade.  A view of a network
-    gives its name, its network's fingerprint and the data its readout
-    binds; other targets give their name and the data their batch binds."""
-    if handle.network is not None:
-        blob = {"view": handle.name, "network": _network_fingerprint(handle.network)}
-        digest = _bound_sha256(handle.readout)
-        return blob if digest is None else dict(blob, readout_sha256=digest)
-    meta = handle.meta or {}
-    if "spec" not in meta:
-        digest = _bound_sha256(handle.batch)
-        return handle.name if digest is None else {"name": handle.name, "batch_sha256": digest}
-    return {
-        "spec": spec_to_json(meta["spec"]),
-        "kernels_sha256": _sha256(*meta["kernels"]),
-    }
-
-
 def _study_fingerprint(
     population, task: StimulusSet, references: StimulusSet, config: BenchConfig
 ) -> dict:
@@ -508,11 +473,11 @@ def _study_fingerprint(
         "unit_sample": config.unit_sample,
         "search": asdict(config.search),
         "n_networks": len(population),
-        "networks": [_network_fingerprint(handle) for handle in population],
+        "networks": [handle.fingerprint or handle.name for handle in population],
         "n_task_items": len(task),
-        "task_sha256": _sha256(task.matrix()),
+        "task_sha256": float64_sha256(task.matrix()),
         "n_references": len(references),
-        "references_sha256": _sha256(references.matrix()),
+        "references_sha256": float64_sha256(references.matrix()),
     }
     # round-trip so tuples compare equal to a reloaded store fingerprint
     return json.loads(json.dumps(blob))

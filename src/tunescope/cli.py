@@ -59,6 +59,7 @@ from .targets import (
     TargetHandle,
     default_l1_spec,
     default_l2_spec,
+    draw_kernels,
     linear_neuron,
     quadratic_neuron,
     read_network_weights,
@@ -197,20 +198,19 @@ def _resolve_gen_net(args):
 
 
 def _gen_net(spec, out: Path) -> None:
-    handle = sthor_network(spec)
-    write_network_weights(handle.meta["kernels"], out / "weights.bin")
+    write_network_weights(draw_kernels(spec), out / "weights.bin")
     side = spec.input_shape[0]
     write_json(
         out / "manifest.json",
         {
             "input_shape": list(spec.input_shape),
-            "response_dim": handle.response_dim,
+            "response_dim": spec.top_layer_neurons,
             "weights": "weights.bin",
             "spec": spec_to_json(spec),
         },
     )
     print(f"input_shape: {side}x{side}")
-    print(f"response_dim: {handle.response_dim}")
+    print(f"response_dim: {spec.top_layer_neurons}")
     print(f"manifest: {out / 'manifest.json'}")
 
 

@@ -17,6 +17,7 @@ same function.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -37,6 +38,8 @@ __all__ = [
     "linear_neuron",
     "quadratic_neuron",
     "sthor_network",
+    "draw_kernels",
+    "float64_sha256",
     "unit_view",
     "match_fitness",
     "sample_network_population",
@@ -62,10 +65,11 @@ class TargetHandle:
     """An opaque stimulus -> response function.
 
     ``batch`` maps an (m, N) matrix of flattened stimuli to an (m, R)
-    response matrix.  ``meta`` carries a cascade's construction details
-    (spec, kernels) for weight files and store fingerprints; a wrapper
-    carries none.  ``chunk``, when stated, is the number of rows
-    ``batch`` forwards per call.
+    response matrix.  ``fingerprint`` is JSON data, built from the data
+    ``batch`` binds, that tells apart any two handles whose responses
+    differ; a store records it.  A handle that leaves it None is
+    fingerprinted by its ``name``.  ``chunk``, when stated, is the
+    number of rows ``batch`` forwards per call.
 
     A wrapper of another handle records it as ``network``, and maps
     that handle's responses to its own with ``readout``; its ``batch``
@@ -78,7 +82,7 @@ class TargetHandle:
     response_dim: int
     batch: Callable[[np.ndarray], np.ndarray]
     name: str = "target"
-    meta: dict | None = None
+    fingerprint: dict | None = None
     chunk: int | None = None
     network: TargetHandle | None = None
     readout: Callable[[np.ndarray], np.ndarray] | None = None
@@ -102,6 +106,14 @@ class TargetHandle:
         return self.batch(matrix)[:, 0]
 
 
+def float64_sha256(*arrays) -> str:
+    """Digest of the arrays' float64 bytes, in order."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # oracle neurons
 
@@ -114,7 +126,10 @@ def linear_neuron(w: Stimulus) -> TargetHandle:
     """Inner-product neuron; ``w`` must be unit-norm."""
     if abs(w.energy - 1.0) > 1e-9:
         raise ValueError(f"template norm {w.energy} != 1")
-    return TargetHandle(w.height, w.width, 1, partial(_linear_batch, w.values), name="linear")
+    return TargetHandle(
+        w.height, w.width, 1, partial(_linear_batch, w.values), name="linear",
+        fingerprint={"name": "linear", "batch_sha256": float64_sha256(w.values)},
+    )
 
 
 def _quadratic_batch(q: np.ndarray, l: np.ndarray, c: float, matrix: np.ndarray) -> np.ndarray:
@@ -135,7 +150,11 @@ def quadratic_neuron(
     if shape[0] * shape[1] != l.size:
         raise ValueError("shape does not match dimension")
     q = (q + q.T) / 2
-    return TargetHandle(shape[0], shape[1], 1, partial(_quadratic_batch, q, l, c), name="quadratic")
+    c = float(c)
+    return TargetHandle(
+        shape[0], shape[1], 1, partial(_quadratic_batch, q, l, c), name="quadratic",
+        fingerprint={"name": "quadratic", "batch_sha256": float64_sha256(q, l, c)},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +252,8 @@ def _level_sides(spec: SthorSpec) -> list[int]:
     return level_sides
 
 
-def _draw_kernels(spec: SthorSpec) -> list[np.ndarray]:
+def draw_kernels(spec: SthorSpec) -> list[np.ndarray]:
+    """The cascade's random kernels, drawn from ``spec.weight_seed``."""
     rng = np.random.default_rng(spec.weight_seed)
     kernels = []
     n_in = 1
@@ -377,7 +397,7 @@ def sthor_network(spec: SthorSpec, kernels: list[np.ndarray] | None = None) -> T
     side = spec.input_shape[0]
     level_sides = _level_sides(spec)
     if kernels is None:
-        kernels = _draw_kernels(spec)
+        kernels = draw_kernels(spec)
     else:
         kernels = [np.asarray(k, dtype=np.float64) for k in kernels]
         n_in = 1
@@ -401,7 +421,7 @@ def sthor_network(spec: SthorSpec, kernels: list[np.ndarray] | None = None) -> T
         spec.top_layer_neurons,
         partial(_cascade_batch, stages, side, chunk),
         name=f"sthor-l{len(spec.levels)}",
-        meta={"spec": spec, "kernels": kernels},
+        fingerprint={"spec": spec_to_json(spec), "kernels_sha256": float64_sha256(*kernels)},
         chunk=chunk,
     )
 
@@ -417,15 +437,17 @@ def _read_through(
 
 
 def _readout_view(
-    target: TargetHandle, readout: Callable[[np.ndarray], np.ndarray], name: str
+    target: TargetHandle, readout: Callable[[np.ndarray], np.ndarray], name: str, **digest
 ) -> TargetHandle:
-    """A scalar handle that reads ``target`` through ``readout``."""
+    """A scalar handle that reads ``target`` through ``readout``; ``digest``
+    names the data ``readout`` binds, for the fingerprint."""
     return TargetHandle(
         target.height,
         target.width,
         1,
         partial(_read_through, target, readout),
         name=name,
+        fingerprint={"view": name, "network": target.fingerprint or target.name, **digest},
         network=target,
         readout=readout,
     )
@@ -453,7 +475,10 @@ def match_fitness(target: TargetHandle, reference_response: np.ndarray) -> Targe
         raise ValueError(
             f"reference length {reference.size} != response dim {target.response_dim}"
         )
-    return _readout_view(target, partial(_match_closeness, reference), f"match({target.name})")
+    return _readout_view(
+        target, partial(_match_closeness, reference), f"match({target.name})",
+        readout_sha256=float64_sha256(reference),
+    )
 
 
 # ---------------------------------------------------------------------------

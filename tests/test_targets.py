@@ -15,6 +15,7 @@ from tunescope.targets import (
     SthorSpec,
     default_l1_spec,
     default_l2_spec,
+    draw_kernels,
     linear_neuron,
     match_fitness,
     quadratic_neuron,
@@ -224,8 +225,7 @@ class TestSthorNetwork:
             SthorSpec(levels=(level,), top_layer_neurons=1, weight_seed=-1)
 
     def test_kernels_zero_mean_unit_norm(self):
-        target = sthor_network(default_l2_spec(weight_seed=8))
-        for w in target.meta["kernels"]:
+        for w in draw_kernels(default_l2_spec(weight_seed=8)):
             flat = w.reshape(w.shape[0], -1)
             np.testing.assert_allclose(flat.mean(axis=1), 0.0, atol=1e-12)
             np.testing.assert_allclose(np.linalg.norm(flat, axis=1), 1.0, atol=1e-12)
@@ -242,7 +242,7 @@ class TestSthorNetwork:
         )
         spec = SthorSpec(levels=(level,), top_layer_neurons=4, weight_seed=10)
         target = sthor_network(spec)
-        kernels = target.meta["kernels"]
+        kernels = draw_kernels(spec)
         rng = np.random.default_rng(11)
         for _ in range(3):
             stim = project_sphere(rng.standard_normal(16), 1.0, spec.input_shape)
@@ -262,7 +262,7 @@ class TestSthorNetwork:
         )
         target = sthor_network(spec)
         assert target.input_shape == (10, 10)
-        kernels = target.meta["kernels"]
+        kernels = draw_kernels(spec)
         rng = np.random.default_rng(13)
         for _ in range(3):
             stim = project_sphere(rng.standard_normal(100), 1.0, (10, 10))
@@ -366,7 +366,7 @@ class TestForwardOracle:
         target = sthor_network(spec)
         assert target.chunk == {1: 64, 2: 22}[len(spec.levels)]
         matrix = np.random.default_rng(seed).standard_normal((rows, target.size))
-        expected = reference_batch(spec, target.meta["kernels"], matrix, target.chunk)
+        expected = reference_batch(spec, draw_kernels(spec), matrix, target.chunk)
         assert target.batch(matrix).tobytes() == expected.tobytes()
 
 
@@ -452,7 +452,7 @@ class TestPopulationSampling:
         ranges = HyperRanges()
         handles, manifest = sample_network_population(default_l2_spec(), 10, ranges, seed=23)
         for handle, entry in zip(handles, manifest):
-            spec = handle.meta["spec"]
+            spec = spec_from_json(handle.fingerprint["spec"])
             for level_spec, level_entry in zip(spec.levels, entry["levels"]):
                 assert level_spec.pool_exponent in ranges.pool_exponent
                 assert level_spec.norm_strength in ranges.norm_strength
@@ -497,18 +497,17 @@ class TestSerialization:
         assert rebuilt.declared_input is None
 
     def test_weights_round_trip(self, tmp_path):
-        target = sthor_network(default_l2_spec(weight_seed=26))
+        kernels = draw_kernels(default_l2_spec(weight_seed=26))
         path = tmp_path / "weights.bin"
-        write_network_weights(target.meta["kernels"], path)
+        write_network_weights(kernels, path)
         back = read_network_weights(path)
         assert len(back) == 2
-        for original, loaded in zip(target.meta["kernels"], back):
+        for original, loaded in zip(kernels, back):
             np.testing.assert_array_equal(original, loaded)
 
     def test_weights_header(self, tmp_path):
-        target = sthor_network(default_l1_spec(weight_seed=27))
         path = tmp_path / "weights.bin"
-        write_network_weights(target.meta["kernels"], path)
+        write_network_weights(draw_kernels(default_l1_spec(weight_seed=27)), path)
         raw = path.read_bytes()
         assert raw[:8] == b"STHORNET"
         with pytest.raises(ValueError):
@@ -520,7 +519,7 @@ class TestSerialization:
         spec = default_l1_spec(weight_seed=28)
         target = sthor_network(spec)
         path = tmp_path / "weights.bin"
-        write_network_weights(target.meta["kernels"], path)
+        write_network_weights(draw_kernels(spec), path)
         rebuilt = sthor_network(spec_from_json(spec_to_json(spec)), kernels=read_network_weights(path))
         rng = np.random.default_rng(29)
         matrix = rng.standard_normal((10, 121))
