@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .errors import DegenerateSplitError, check_fields
+from .errors import DegenerateSplitError, check_fields, is_finite_real
 from .measures import (
     MeasureReport,
     build_fd_diagram,
@@ -103,9 +103,12 @@ class TaskSpec:
             self, dict(n_classes=2, samples_per_class=1, height=1, width=1, seed=None),
             positive=("energy",), nonnegative=("phase_jitter", "position_jitter"),
         )
-        lo, hi = self.frequency_range
-        if not 0 < lo <= hi:
-            raise ValueError(f"bad frequency range {self.frequency_range}")
+        bounds = tuple(self.frequency_range)
+        reals = len(bounds) == 2 and all(map(is_finite_real, bounds))
+        if not (reals and 0 < bounds[0] <= bounds[1]):
+            raise ValueError(
+                f"frequency_range is {bounds!r}; it must be two finite reals, 0 < low <= high"
+            )
 
 
 def _oriented_grating(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import check_fields
+from .errors import check_fields, is_finite_real
 from .seeds import derive_int, derive_rng, derive_seed
 from .solver import (
     ProjectedObjective,
@@ -83,8 +83,8 @@ class SearchConfig:
     Budgets are per dimension: a target with N inputs gets
     ``optimal_budget_per_dim * N`` evaluations for each optimal-stimulus
     run and ``path_budget_per_dim * N`` per cone angle.  Cone angles
-    (``deltas``, at least one, and ``subspace_delta``) must lie in
-    (0, pi].  ``alpha_set`` holds at least one finite exponent.  The
+    (``deltas``, at least one, and ``subspace_delta``) are reals in
+    (0, pi].  ``alpha_set`` holds at least one finite real.  The
     seed is an integer.  A subspace needs at least two runs; every other
     run count, candidate count and budget, and the stagnation window, is
     an integer and at least 1.  ``energy`` and both initial steps are
@@ -111,12 +111,13 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if not self.deltas:
             raise ValueError("deltas needs at least one cone angle")
-        for delta in (*self.deltas, self.subspace_delta):
-            if not 0 < delta <= np.pi:
-                raise ValueError(f"cone angle {delta} outside (0, pi]")
-        if not self.alpha_set or not np.all(np.isfinite(self.alpha_set)):
+        for name, angles in (("deltas", self.deltas), ("subspace_delta", (self.subspace_delta,))):
+            for delta in angles:
+                if not (is_finite_real(delta) and 0 < delta <= np.pi):
+                    raise ValueError(f"{name} holds {delta!r}, not a real or outside (0, pi]")
+        if not self.alpha_set or not all(map(is_finite_real, self.alpha_set)):
             raise ValueError(
-                f"alpha_set is {self.alpha_set}; it needs at least one exponent, all finite"
+                f"alpha_set is {self.alpha_set}; it needs at least one exponent, all finite reals"
             )
         check_fields(
             self, _COUNTS, positive=("energy", "optimal_sigma0", "path_sigma0"),

@@ -121,6 +121,12 @@ class TestTaskGeneration:
         with pytest.raises(ValueError, match=key):
             TaskSpec(**{key: value})
 
+    @pytest.mark.parametrize("bounds", [(True, 4.0), (1.0, float("inf")), (float("nan"), 4.0),
+                                        (1.0,)])
+    def test_non_real_frequency_range_rejected(self, bounds):
+        with pytest.raises(ValueError, match="frequency_range"):
+            TaskSpec(frequency_range=bounds)
+
     def test_classes_are_distinct(self):
         task = generate_task_stimuli(
             TaskSpec(n_classes=4, samples_per_class=1, phase_jitter=0.0,

@@ -61,6 +61,11 @@ UNUSABLE_SEARCH = [
     # no exponent to draw seeding noise from
     {"alpha_set": []},
     {"alpha_set": [float("nan")]},
+    # a bool is not a real, and a non-finite angle names its field
+    {"deltas": [True]},
+    {"subspace_delta": True},
+    {"alpha_set": [True, False]},
+    {"subspace_delta": float("nan")},
 ]
 UNUSABLE_IDS = [f"{key}={value}" for bad in UNUSABLE_SEARCH for key, value in bad.items()]
 
@@ -249,6 +254,17 @@ class TestCharacterize:
                      "--out", str(out)]) == 1
         error = error_payload(capsys)
         assert error["type"] == "ValueError" and next(iter(bad)) in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bounds", ["[true, 4]", "[1.0, 1e400]"])
+    def test_unusable_task_frequency_range_is_config_error(self, tmp_path, capsys, micro_config,
+                                                           bounds):
+        task = tmp_path / "task.json"
+        task.write_text(f'{{"n_classes": 4, "samples_per_class": 6, "frequency_range": {bounds}}}')
+        out = tmp_path / "char"
+        assert main(["characterize", "--target", "linear", "--shape", "11", "--task", str(task),
+                     "--seed", "3", "--config", micro_config, "--out", str(out)]) == 1
+        assert "frequency_range" in error_payload(capsys)["message"]
         assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys, micro_config):
