@@ -53,6 +53,7 @@ from .search import (
     subspace_plan,
 )
 from .seeds import derive_int, derive_rng
+from .solver import default_population_size
 from .stimulus import Stimulus, StimulusSet, write_stimulus_csv, write_stimulus_pgm
 from .targets import (
     HyperRanges,
@@ -109,6 +110,8 @@ def _master_seed(args, default: int = 0) -> int:
 
 
 def _builtin_target(name: str, side: int, seed: int) -> TargetHandle:
+    if side < 2:
+        raise ValueError(f"--shape is {side}; a built-in target needs a side of at least 2")
     n = side * side
     rng = derive_rng(seed, "builtin", name)
     if name == "linear":
@@ -226,11 +229,25 @@ class _TargetRun:
     run_json: dict
 
 
-def _resolve_target(args, scalar: bool) -> _TargetRun:
-    """Load target, task and search; a ``scalar`` command needs one output."""
+def _check_budgets(search: SearchConfig, n: int, kinds: tuple[str, ...]) -> None:
+    """Each ``<kind>_budget_per_dim`` must buy one generation at ``n`` inputs."""
+    population = default_population_size(n)
+    for kind in kinds:
+        name = f"{kind}_budget_per_dim"
+        if getattr(search, name) * n < population:
+            raise ValueError(
+                f"{name} is {getattr(search, name)}; at {n} inputs one generation "
+                f"takes {population} evaluations"
+            )
+
+
+def _resolve_target(args, scalar: bool, budgets: tuple[str, ...]) -> _TargetRun:
+    """Load target, task and search; a ``scalar`` command needs one output,
+    and each budget kind the command runs must buy one generation."""
     seed = _master_seed(args)
     search = _search_from(args, seed)
     target = _load_target(args.target, args.shape, seed)
+    _check_budgets(search, target.size, budgets)
     task, task_blob = _task_from(args)
     if task is not None and task.shape != target.input_shape:
         raise ValueError(f"task shape {task.shape} != target input {target.input_shape}")
@@ -284,8 +301,12 @@ def _emit_subspace(run: _TargetRun, samples: dict) -> None:
     write_json(run.out / "subspace.json", blob)
 
 
+# the budget kinds of a unit protocol: the optimum, then the cone searches
+_UNIT_BUDGETS = ("optimal", "path")
+
+
 def _resolve_characterize(args):
-    return partial(_characterize, _resolve_target(args, scalar=True), _walk_count(args))
+    return partial(_characterize, _resolve_target(args, True, _UNIT_BUDGETS), _walk_count(args))
 
 
 def _characterize(run: _TargetRun, walks: int) -> None:
@@ -302,7 +323,7 @@ def _characterize(run: _TargetRun, walks: int) -> None:
 
 
 def _resolve_paths(args):
-    return partial(_paths, _resolve_target(args, scalar=True), _walk_count(args))
+    return partial(_paths, _resolve_target(args, True, _UNIT_BUDGETS), _walk_count(args))
 
 
 def _paths(run: _TargetRun, walks: int) -> None:
@@ -315,7 +336,7 @@ def _paths(run: _TargetRun, walks: int) -> None:
 
 
 def _resolve_subspace(args):
-    return partial(_subspace, _resolve_target(args, scalar=True))
+    return partial(_subspace, _resolve_target(args, True, _UNIT_BUDGETS))
 
 
 def _subspace(run: _TargetRun) -> None:
@@ -331,7 +352,7 @@ def _subspace(run: _TargetRun) -> None:
 
 
 def _resolve_encode(args):
-    run = _resolve_target(args, scalar=False)
+    run = _resolve_target(args, False, ("reconstruct",))
     return partial(_encode, run, _references(run, args.references))
 
 
@@ -354,13 +375,14 @@ def _encode(run: _TargetRun, references: StimulusSet) -> None:
 
 
 def _resolve_measure(args):
-    run = _resolve_target(args, scalar=False)
+    run = _resolve_target(args, False, _UNIT_BUDGETS)
     if args.unit_sample < 1:
         raise ValueError(f"--unit-sample is {args.unit_sample}; it must be at least 1")
     references = None
     if run.target.response_dim != 1:
         if run.task is None:
             raise ValueError("population-level measure needs --task")
+        _check_budgets(run.search, run.target.size, ("reconstruct",))
         references = _references(run, args.references)
     return partial(_measure, run, references, args.unit_sample)
 

@@ -304,6 +304,35 @@ class TestPathsAndSubspace:
         rows = (out / "fd.csv").read_text().splitlines()[1:]
         assert {row.split(",")[0] for row in rows} == {"invariance", "selectivity"}
 
+    @pytest.mark.parametrize("target, side", [("linear", "1"), ("quadratic", "1"),
+                                              ("quadratic", "-3")])
+    def test_builtin_side_below_two_is_config_error(self, tmp_path, capsys, micro_config,
+                                                     target, side):
+        out = tmp_path / "paths"
+        assert main(["paths", "--target", target, "--shape", side, "--seed", "3",
+                     "--config", micro_config, "--out", str(out)]) == 1
+        assert "--shape" in error_payload(capsys)["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, side, budgets, named", [
+        ("paths", "2", {}, "path_budget_per_dim"),
+        ("characterize", "3", {"optimal_budget_per_dim": 1}, "optimal_budget_per_dim"),
+        ("encode", "2", {"reconstruct_budget_per_dim": 1}, "reconstruct_budget_per_dim"),
+    ])
+    def test_budget_below_one_generation_is_config_error(self, tmp_path, capsys, command, side,
+                                                          budgets, named):
+        config = tmp_path / "search.json"
+        config.write_text(json.dumps(dict(MICRO_SEARCH, **budgets)))
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({"n_classes": 2, "samples_per_class": 2,
+                                    "height": int(side), "width": int(side)}))
+        out = tmp_path / "out"
+        extra = ["--task", str(task), "--references", "1"] if command == "encode" else []
+        assert main([command, "--target", "linear", "--shape", side, "--seed", "3",
+                     "--config", str(config), *extra, "--out", str(out)]) == 1
+        assert named in error_payload(capsys)["message"]
+        assert not out.exists()
+
     def test_paths_bundle(self, tmp_path, capsys, micro_config):
         out = tmp_path / "paths"
         assert main(["paths", "--target", "linear", "--shape", "4",
