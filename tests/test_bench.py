@@ -41,6 +41,7 @@ from tunescope.targets import (
     default_l1_spec,
     linear_neuron,
     match_fitness,
+    quadratic_neuron,
     sample_network_population,
     sthor_network,
     unit_view,
@@ -675,6 +676,25 @@ class TestRunStudy:
         neurons = [linear_neuron(template) for template in templates]
         assert fingerprint(neurons[0]) != fingerprint(neurons[1])
         assert fingerprint(neurons[0]) == fingerprint(linear_neuron(templates[0]))
+
+        # a quadratic neuron's digest covers Q, L and c, each on its own
+        rng = np.random.default_rng(39)
+        q, l = rng.standard_normal((16, 16)), rng.standard_normal(16)
+        q += q.T
+        variants = [(q, l, 0.0), (2 * q, l, 0.0), (q, -l, 0.0), (q, l, 1.0)]
+        prints = [fingerprint(quadratic_neuron(*variant, (4, 4))) for variant in variants]
+        assert len({json.dumps(blob, sort_keys=True) for blob in prints}) == len(variants)
+        assert prints[0] == fingerprint(quadratic_neuron(q, l, 0.0, (4, 4)))
+
+    def test_handle_without_fingerprint_is_named(self):
+        task = small_task()
+        refs = sample_references(task, 2, seed=9)
+        config = BenchConfig(seed=1, search=MICRO, store_dir="store")
+        custom = TargetHandle(11, 11, 1, lambda matrix: matrix[:, :1], name="first-pixel")
+        assert custom.fingerprint is None
+        blob = _study_fingerprint([custom, unit_view(custom, 0)], task, refs, config)
+        view = {"view": "first-pixel[0]", "network": "first-pixel"}
+        assert blob["networks"] == ["first-pixel", view]
 
     def test_changed_reference_rejected_on_resume(self, tmp_path):
         network = sthor_network(default_l1_spec(weight_seed=34))
