@@ -15,15 +15,23 @@ records the build beside the hashes.  On any other build this test
 fails and names both builds; re-record the file there (the failure
 message prints the new hashes) rather than skipping the test.  A change
 that alters the bytes on purpose re-records them and says why.
+
+Two-level bytes also depend on the BLAS thread count: at N=441 the
+Cholesky factor and the large matrix products sum in another order with
+more threads.  So the hashed run is a child process with one BLAS
+thread, whatever the caller's setting.
 """
 
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import tunescope
 from tunescope.cli import main
 
 SEARCH = {
@@ -70,6 +78,16 @@ COMMANDS = (
 )
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_sha256.json").read_text())
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# run every command in the child; the first that fails names itself
+CHILD = """
+import json, sys
+from tunescope.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code:
+        sys.exit(f"exit code {code}: {argv}")
+"""
 
 
 def running_build() -> dict:
@@ -77,18 +95,28 @@ def running_build() -> dict:
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
-def run_commands(tmp_path, monkeypatch) -> None:
+def write_configs(tmp_path, monkeypatch) -> None:
     # relative paths only, so no file records where the run took place
     monkeypatch.chdir(tmp_path)
     Path("search.json").write_text(json.dumps(SEARCH))
     Path("task.json").write_text(json.dumps(TASK))
     Path("study.json").write_text(json.dumps(STUDY))
+
+
+def run_commands(tmp_path, monkeypatch) -> None:
+    write_configs(tmp_path, monkeypatch)
     for argv in COMMANDS:
         assert main(argv) == 0, argv
 
 
-def test_artifact_bytes_match_golden(tmp_path, monkeypatch, capsys):
-    run_commands(tmp_path, monkeypatch)
+def test_artifact_bytes_match_golden(tmp_path, monkeypatch):
+    write_configs(tmp_path, monkeypatch)
+    src = str(Path(tunescope.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, **ONE_BLAS_THREAD, PYTHONPATH=pythonpath)
+    child = subprocess.run([sys.executable, "-c", CHILD, json.dumps(COMMANDS)], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
     digests = {
         path.relative_to("out").as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(Path("out").rglob("*"))
