@@ -50,6 +50,7 @@ __all__ = [
     "BenchConfig",
     "BenchResult",
     "MIN_NETWORKS_FOR_TABLE",
+    "TRAJECTORY_VERSION",
     "generate_task_stimuli",
     "sample_references",
     "sample_pairs",
@@ -65,6 +66,11 @@ __all__ = [
 
 # the correlation stage needs at least this many networks
 MIN_NETWORKS_FOR_TABLE = 10
+
+# Recorded in a store's fingerprint and run.json, so a store half-written
+# by other search trajectories is refused on resume.  Bump it in any
+# change that moves trajectories on purpose.
+TRAJECTORY_VERSION = 1
 
 # correlation-table row order; the spectrum column joins only the ALL fit
 FIG9_ROWS = (
@@ -471,6 +477,7 @@ def _study_fingerprint(
     population, task: StimulusSet, references: StimulusSet, config: BenchConfig
 ) -> dict:
     blob = {
+        "trajectory_version": TRAJECTORY_VERSION,
         "seed": config.seed,
         "n_pairs": config.n_pairs,
         "unit_sample": config.unit_sample,

@@ -24,6 +24,7 @@ import numpy as np
 from .artifacts import write_csv, write_json
 from .bench import (
     MIN_NETWORKS_FOR_TABLE,
+    TRAJECTORY_VERSION,
     BenchConfig,
     TaskSpec,
     characterize_population,
@@ -472,6 +473,7 @@ def _resolve_bench(args):
         "task": task_blob,
         "study": blob,
         "networks": manifest,
+        "trajectory_version": TRAJECTORY_VERSION,
     }
     return partial(_bench, population, task, references, config, run_json)
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tunescope
+from tunescope.bench import TRAJECTORY_VERSION
 from tunescope.cli import main
 from tunescope.measures import MeasureReport
 from tunescope.targets import default_l2_spec, spec_to_json
@@ -613,6 +614,24 @@ class TestBench:
         blob["ranges"] = {"pool_exponent": [10.0]}
         assert main(["bench", "--config", self.write_config(tmp_path, blob),
                      "--out", str(store), "--resume", "--workers", "1"]) == 2
+        assert "different study config" in error_payload(capsys)["message"]
+        assert (store / "measures.csv").read_bytes() == before
+
+    def test_resume_of_another_trajectory_version_refused(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, study_blob(n_networks=1))
+        store = tmp_path / "store"
+        assert main(["bench", "--config", config, "--out", str(store), "--workers", "1"]) == 0
+        assert json.loads((store / "run.json").read_text())["trajectory_version"] == (
+            TRAJECTORY_VERSION
+        )
+        fingerprint = json.loads((store / "study_config.json").read_text())
+        assert fingerprint["trajectory_version"] == TRAJECTORY_VERSION
+        fingerprint["trajectory_version"] = TRAJECTORY_VERSION - 1
+        (store / "study_config.json").write_text(json.dumps(fingerprint))
+        before = (store / "measures.csv").read_bytes()
+        capsys.readouterr()
+        assert main(["bench", "--config", config, "--out", str(store),
+                     "--resume", "--workers", "1"]) == 2
         assert "different study config" in error_payload(capsys)["message"]
         assert (store / "measures.csv").read_bytes() == before
 
