@@ -150,7 +150,6 @@ def quadratic_neuron(
     if shape[0] * shape[1] != l.size:
         raise ValueError("shape does not match dimension")
     q = (q + q.T) / 2
-    c = float(c)
     return TargetHandle(
         shape[0], shape[1], 1, partial(_quadratic_batch, q, l, c), name="quadratic",
         fingerprint={"name": "quadratic", "batch_sha256": float64_sha256(q, l, c)},
