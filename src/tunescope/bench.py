@@ -70,7 +70,7 @@ MIN_NETWORKS_FOR_TABLE = 10
 # Recorded in a store's fingerprint and run.json, so a store half-written
 # by other search trajectories is refused on resume.  Bump it in any
 # change that moves trajectories on purpose.
-TRAJECTORY_VERSION = 1
+TRAJECTORY_VERSION = 2
 
 # correlation-table row order; the spectrum column joins only the ALL fit
 FIG9_ROWS = (

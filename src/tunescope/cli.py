@@ -55,7 +55,8 @@ from .search import (
 )
 from .seeds import derive_int, derive_rng
 from .solver import default_population_size
-from .stimulus import Stimulus, StimulusSet, write_stimulus_csv, write_stimulus_pgm
+from .stimulus import Stimulus, StimulusSet, project_sphere, write_stimulus_csv
+from .stimulus import write_stimulus_pgm
 from .targets import (
     HyperRanges,
     TargetHandle,
@@ -116,9 +117,7 @@ def _builtin_target(name: str, side: int, seed: int) -> TargetHandle:
     n = side * side
     rng = derive_rng(seed, "builtin", name)
     if name == "linear":
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        return linear_neuron(Stimulus.from_values(v, side, side))
+        return linear_neuron(project_sphere(rng.standard_normal(n), 1.0, (side, side)))
     a = rng.standard_normal((n, n))
     return quadratic_neuron((a + a.T) / 2.0, np.zeros(n), 0.0, (side, side))
 

@@ -34,7 +34,8 @@ from .solver import (
     run_lockstep,
     seeded_init,
 )
-from .stimulus import Stimulus, angular_distance, project_cone_batch, random_orthogonal_unit
+from .stimulus import Stimulus, angular_distance, project_cone_batch, project_sphere_batch
+from .stimulus import random_orthogonal_unit
 from .targets import TargetHandle, match_fitness
 
 __all__ = [
@@ -165,12 +166,7 @@ class ReconstructionSet:
 
 def sphere_search_objective(target: TargetHandle, energy: float) -> ProjectedObjective:
     """Scalar target constrained to the energy sphere."""
-
-    def project(raw: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        return raw * (energy / norms)
-
-    return ProjectedObjective(target=target, energy=energy, project_batch=project)
+    return ProjectedObjective(target, energy, lambda raw: project_sphere_batch(raw, energy))
 
 
 def cone_search_objective(

@@ -20,6 +20,7 @@ __all__ = [
     "Stimulus",
     "StimulusSet",
     "project_sphere",
+    "project_sphere_batch",
     "project_cone_batch",
     "sample_pink_noise",
     "random_orthogonal_unit",
@@ -130,27 +131,26 @@ class StimulusSet:
         return np.stack([s.values for s in self.items])
 
 
-def _scale_rows(rows: np.ndarray, energy: float) -> np.ndarray:
-    """Each row of a 2-D array radially projected to norm ``energy``."""
-    # One norm per row: the batched np.linalg.norm(raw, axis=1) in
-    # search.sphere_search_objective sums in another order and differs in
-    # the last bit for about a third of rows, so sharing it would move
-    # every search trajectory.
-    if not np.all(np.isfinite(rows)):
+def project_sphere_batch(rows: np.ndarray, energy: float) -> np.ndarray:
+    """Each row of a 2-D array radially projected to norm ``energy``,
+    bit for bit as ``row * (energy / np.linalg.norm(row))``.
+
+    A row whose norm is NaN or infinite raises ``NonFiniteError``, a
+    zero row ``ZeroVectorError``.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    norms = np.sqrt(np.vecdot(rows, rows))
+    if not np.all(np.isfinite(norms)):
         raise NonFiniteError("cannot project non-finite values")
-    scaled = np.empty_like(rows)
-    for row, pattern in zip(scaled, rows):
-        norm = float(np.linalg.norm(pattern))
-        if norm == 0.0:
-            raise ZeroVectorError("cannot project the zero vector onto the sphere")
-        np.multiply(pattern, energy / norm, out=row)
-    return scaled
+    if not np.all(norms):
+        raise ZeroVectorError("cannot project the zero vector onto the sphere")
+    return rows * (energy / norms)[:, None]
 
 
 def project_sphere(values: np.ndarray, energy: float, shape: tuple[int, int]) -> Stimulus:
     """Radially project a raw array onto the sphere of the given energy."""
     flat = np.asarray(values, dtype=np.float64).ravel()
-    scaled = _scale_rows(flat[None, :], energy)[0]
+    scaled = project_sphere_batch(flat[None, :], energy)[0]
     return Stimulus(values=scaled, height=int(shape[0]), width=int(shape[1]), energy=energy)
 
 
@@ -174,12 +174,9 @@ def project_cone_batch(
     energy = x_hat.energy
     coeff = (raw @ axis) / (energy * energy)
     residual = raw - coeff[:, None] * axis
-    norms = np.linalg.norm(residual, axis=1)
-    for row in np.flatnonzero(norms < _DEGENERATE_TOL):
-        substitute = random_orthogonal_unit(x_hat, fallback_rng)
-        residual[row] = substitute.values
-        norms[row] = np.linalg.norm(substitute.values)
-    return np.cos(delta) * axis + residual * (energy * np.sin(delta) / norms[:, None])
+    for row in np.flatnonzero(np.vecdot(residual, residual) < _DEGENERATE_TOL**2):
+        residual[row] = random_orthogonal_unit(x_hat, fallback_rng).values
+    return np.cos(delta) * axis + project_sphere_batch(residual, energy * np.sin(delta))
 
 
 def _radial_frequency(height: int, width: int) -> np.ndarray:
@@ -216,7 +213,7 @@ def sample_pink_noise(
         envelope[nonzero] = freq[nonzero] ** (-a)
         spectrum[k :: len(alphas)] *= envelope
     shaped = np.ascontiguousarray(np.fft.ifft2(spectrum).real).reshape(count, height * width)
-    return _scale_rows(shaped, energy)
+    return project_sphere_batch(shaped, energy)
 
 
 def random_orthogonal_unit(x_hat: Stimulus, rng: np.random.Generator) -> Stimulus:
@@ -227,8 +224,7 @@ def random_orthogonal_unit(x_hat: Stimulus, rng: np.random.Generator) -> Stimulu
     for _ in range(_MAX_RETRIES):
         draw = rng.standard_normal(x_hat.size)
         residual = draw - (axis @ draw) * axis
-        norm = float(np.linalg.norm(residual))
-        if norm > _DEGENERATE_TOL:
+        if np.linalg.norm(residual) > _DEGENERATE_TOL:
             return project_sphere(residual, x_hat.energy, x_hat.shape)
     raise ImprobableFailureError("100 consecutive degenerate orthogonal draws")
 

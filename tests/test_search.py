@@ -3,6 +3,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
+from tunescope.errors import NonFiniteError, ZeroVectorError
 from tunescope.measures import path_potential_unit
 from tunescope.search import (
     SearchConfig,
@@ -93,6 +94,18 @@ class TestObjectives:
         # projection preserves direction
         cosines = np.sum(projected * raw, axis=1) / np.linalg.norm(raw, axis=1)
         assert np.allclose(cosines, 1.0, atol=1e-12)
+
+    def test_sphere_objective_rejects_zero_and_non_finite_rows(self):
+        objective = sphere_search_objective(make_linear()[0], energy=1.0)
+        rows = np.ones((3, 16))
+        rows[1] = 0.0
+        with pytest.raises(ZeroVectorError):
+            objective.project_batch(rows)
+        for bad in (np.nan, np.inf):
+            rows = np.ones((3, 16))
+            rows[2, 5] = bad
+            with pytest.raises(NonFiniteError):
+                objective.project_batch(rows)
 
     def test_cone_objective_projects_to_cone(self):
         target, w = make_linear()

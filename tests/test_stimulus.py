@@ -12,6 +12,7 @@ from tunescope.stimulus import (
     angular_distance,
     project_cone_batch,
     project_sphere,
+    project_sphere_batch,
     random_orthogonal_unit,
     read_stimulus_csv,
     sample_pink_noise,
@@ -60,6 +61,29 @@ class TestProjectSphere:
         once = project_sphere(x, energy, (3, 4))
         twice = project_sphere(once.values, energy, (3, 4))
         np.testing.assert_allclose(twice.values, once.values, rtol=0, atol=1e-12 * energy)
+
+
+class TestProjectSphereBatch:
+    @pytest.mark.parametrize("shape", [(1, 441), (18, 121), (22, 441), (200, 441), (1000, 121)])
+    def test_rows_match_one_norm_per_row_bitwise(self, shape):
+        # task stimuli, seeding noise and orthogonal draws were scaled one
+        # row at a time like this, so they keep their bytes
+        rows = np.random.default_rng(shape[0]).standard_normal(shape) * 3.0
+        expected = np.stack([row * (0.7 / np.linalg.norm(row)) for row in rows])
+        np.testing.assert_array_equal(project_sphere_batch(rows, 0.7), expected)
+
+    def test_zero_row_rejected(self):
+        rows = np.ones((3, 4))
+        rows[1] = 0.0
+        with pytest.raises(ZeroVectorError):
+            project_sphere_batch(rows, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        rows = np.ones((3, 4))
+        rows[2, 1] = bad
+        with pytest.raises(NonFiniteError):
+            project_sphere_batch(rows, 1.0)
 
 
 class TestProjectCone:
