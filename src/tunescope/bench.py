@@ -108,6 +108,7 @@ class TaskSpec:
         check_fields(
             self, dict(n_classes=2, samples_per_class=1, height=1, width=1, seed=None),
             positive=("energy",), nonnegative=("phase_jitter", "position_jitter"),
+            lists=("frequency_range",),
         )
         bounds = tuple(self.frequency_range)
         reals = len(bounds) == 2 and all(map(is_finite_real, bounds))

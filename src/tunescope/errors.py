@@ -62,14 +62,21 @@ class DegenerateSplitError(TunescopeError):
     """A train/test split left one side empty or single-typed."""
 
 
-def check_fields(record, counts: dict, positive: tuple = (), nonnegative: tuple = ()) -> None:
-    """Check a config record's count and scale fields; raise ``ValueError``.
+def check_fields(
+    record, counts: dict, positive: tuple = (), nonnegative: tuple = (), lists: tuple = ()
+) -> None:
+    """Check a config record's count, scale and list fields; raise ``ValueError``.
 
     ``counts`` maps each count field to its least value (None: any
     integer); a count is an integer, and ``bool`` is not one.  The
     fields named in ``positive`` are finite reals above 0, those in
-    ``nonnegative`` finite reals at least 0.
+    ``nonnegative`` finite reals at least 0, and those in ``lists`` a
+    list or tuple.
     """
+    for name in lists:
+        value = getattr(record, name)
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} is {value!r}; it must be a list")
     for name, least in counts.items():
         value = getattr(record, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):

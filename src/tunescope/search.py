@@ -110,6 +110,10 @@ class SearchConfig:
     step_tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
+        check_fields(
+            self, _COUNTS, positive=("energy", "optimal_sigma0", "path_sigma0"),
+            nonnegative=("step_tolerance",), lists=("deltas", "alpha_set"),
+        )
         if not self.deltas:
             raise ValueError("deltas needs at least one cone angle")
         for name, angles in (("deltas", self.deltas), ("subspace_delta", (self.subspace_delta,))):
@@ -120,10 +124,6 @@ class SearchConfig:
             raise ValueError(
                 f"alpha_set is {self.alpha_set}; it needs at least one exponent, all finite reals"
             )
-        check_fields(
-            self, _COUNTS, positive=("energy", "optimal_sigma0", "path_sigma0"),
-            nonnegative=("step_tolerance",),
-        )
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,7 @@ class LevelSpec:
         check_fields(
             self, dict(kernel_size=1, n_filters=1, pool_size=1, pool_stride=1, norm_radius=0),
             positive=("pool_exponent", "norm_threshold"), nonnegative=("norm_strength",),
+            lists=("clip_bounds",),
         )
         if self.kernel_size % 2 == 0:
             raise GeometryError(f"kernel size {self.kernel_size} must be odd")
@@ -516,9 +517,11 @@ class HyperRanges:
     norm_strength: tuple[float, ...] = (0.1, 1.0, 10.0)
 
     def __post_init__(self) -> None:
+        names = ("n_filters", "pool_exponent", "norm_strength")
+        check_fields(self, {}, lists=names)
         if not (self.n_filters and self.pool_exponent and self.norm_strength):
             raise ValueError("empty hyperparameter range")
-        for name in ("n_filters", "pool_exponent", "norm_strength"):
+        for name in names:
             for value in getattr(self, name):
                 LevelSpec(**{"kernel_size": 1, "n_filters": 1, name: value})
 

@@ -123,7 +123,7 @@ class TestTaskGeneration:
             TaskSpec(**{key: value})
 
     @pytest.mark.parametrize("bounds", [(True, 4.0), (1.0, float("inf")), (float("nan"), 4.0),
-                                        (1.0,)])
+                                        (1.0,), 2.0])
     def test_non_real_frequency_range_rejected(self, bounds):
         with pytest.raises(ValueError, match="frequency_range"):
             TaskSpec(frequency_range=bounds)

@@ -67,6 +67,9 @@ UNUSABLE_SEARCH = [
     {"subspace_delta": True},
     {"alpha_set": [True, False]},
     {"subspace_delta": float("nan")},
+    # a scalar where a list belongs
+    {"deltas": 0.5},
+    {"alpha_set": 2.0},
 ]
 UNUSABLE_IDS = [f"{key}={value}" for bad in UNUSABLE_SEARCH for key, value in bad.items()]
 
@@ -165,7 +168,7 @@ class TestGenNet:
     @pytest.mark.parametrize("key, value", [("pool_exponent", 0), ("kernel_size", 7.0),
                                             ("n_filters", 0), ("norm_threshold", 0),
                                             ("clip_bounds", [1.0, 0.0]),
-                                            ("declared_input", 21.0)])
+                                            ("declared_input", 21.0), ("clip_bounds", 1.0)])
     def test_unusable_spec_value_is_config_error(self, tmp_path, capsys, key, value):
         spec = spec_to_json(default_l2_spec())
         record = spec if key in spec else spec["levels"][0]
@@ -257,7 +260,7 @@ class TestCharacterize:
         assert error["type"] == "ValueError" and next(iter(bad)) in error["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("bounds", ["[true, 4]", "[1.0, 1e400]"])
+    @pytest.mark.parametrize("bounds", ["[true, 4]", "[1.0, 1e400]", "2.0"])
     def test_unusable_task_frequency_range_is_config_error(self, tmp_path, capsys, micro_config,
                                                            bounds):
         task = tmp_path / "task.json"
@@ -452,6 +455,8 @@ UNUSABLE_STUDY = [
     *(({"seed": seed, "n_networks": 1, "ranges": {"pool_exponent": [2.0, 0.0]}},
        "pool_exponent") for seed in range(1, 8)),
     ({"base_spec": {}}, "base_spec"),
+    ({"ranges": {"n_filters": 8}}, "n_filters"),
+    ({"ranges": {"pool_exponent": 2.0}}, "pool_exponent"),
 ]
 
 
