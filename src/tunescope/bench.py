@@ -54,6 +54,8 @@ __all__ = [
     "generate_task_stimuli",
     "sample_references",
     "sample_pairs",
+    "pair_split",
+    "study_split_seed",
     "choose_distance_threshold",
     "pair_matching_performance",
     "characterize_unit",
@@ -223,21 +225,17 @@ def choose_distance_threshold(distances: np.ndarray, same_flags: np.ndarray) -> 
     return best[0]
 
 
-def pair_matching_performance(
-    target: TargetHandle, task: StimulusSet, n_pairs: int = 200, split_seed: int = 0
-) -> float:
-    """Threshold chosen on the train half, accuracy from the test half."""
-    if task.labels is None:
-        raise ValueError("task set must be labelled")
-    if task.shape != target.input_shape:
-        raise ValueError(f"task shape {task.shape} != target {target.input_shape}")
-    rng = derive_rng(split_seed, "pairs")
-    pairs, flags = sample_pairs(task.labels, n_pairs, rng)
-    responses = target.batch(task.matrix())
-    distances = np.linalg.norm(
-        responses[pairs[:, 0]] - responses[pairs[:, 1]], axis=1
-    )
+def pair_split(labels, n_pairs: int, split_seed: int) -> tuple[np.ndarray, ...]:
+    """``sample_pairs``'s pairs and same flags, then the train and test
+    halves as pair indices: a pure function of its arguments.
 
+    Raises ``ValueError`` when the labels cannot form both pair types and
+    ``DegenerateSplitError`` when a half lacks one.
+    """
+    if labels is None:
+        raise ValueError("task set must be labelled")
+    rng = derive_rng(split_seed, "pairs")
+    pairs, flags = sample_pairs(labels, n_pairs, rng)
     order = rng.permutation(n_pairs)
     n_train = n_pairs // 2
     train, test = order[:n_train], order[n_train:]
@@ -247,7 +245,27 @@ def pair_matching_performance(
         kinds = set(flags[half].tolist())
         if len(kinds) < 2:
             raise DegenerateSplitError(f"{half_name} half has only one pair type")
+    return pairs, flags, train, test
 
+
+def study_split_seed(task: StimulusSet, config: BenchConfig) -> int:
+    """The pair-split seed of a study, once its split is known to work."""
+    split_seed = derive_int(config.seed, "pairs")
+    pair_split(task.labels, config.n_pairs, split_seed)
+    return split_seed
+
+
+def pair_matching_performance(
+    target: TargetHandle, task: StimulusSet, n_pairs: int = 200, split_seed: int = 0
+) -> float:
+    """Threshold chosen on the train half, accuracy from the test half."""
+    if task.shape != target.input_shape:
+        raise ValueError(f"task shape {task.shape} != target {target.input_shape}")
+    pairs, flags, train, test = pair_split(task.labels, n_pairs, split_seed)
+    responses = target.batch(task.matrix())
+    distances = np.linalg.norm(
+        responses[pairs[:, 0]] - responses[pairs[:, 1]], axis=1
+    )
     threshold = choose_distance_threshold(distances[train], flags[train])
     return float(np.mean((distances[test] <= threshold) == flags[test]))
 
@@ -542,6 +560,7 @@ def run_study(
     """
     if not population:
         raise ValueError("empty population")
+    split_seed = study_split_seed(task, config)
     store = Path(config.store_dir)
     fingerprint = _study_fingerprint(population, task, references, config)
     fp_path = store / "study_config.json"
@@ -554,7 +573,6 @@ def run_study(
     else:
         write_json(fp_path, fingerprint)
 
-    split_seed = derive_int(config.seed, "pairs")
     jobs = []
     for index, target in enumerate(population):
         net_dir = _network_dir(store, index)

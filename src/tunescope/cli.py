@@ -34,6 +34,7 @@ from .bench import (
     generate_task_stimuli,
     run_study,
     sample_references,
+    study_split_seed,
 )
 from .errors import check_fields, from_mapping
 from .measures import (
@@ -458,6 +459,7 @@ def _resolve_bench(args):
             f"input {base_spec.input_shape}"
         )
     task = generate_task_stimuli(task_spec)
+    study_split_seed(task, config)
 
     population, manifest = sample_network_population(
         base_spec, study.n_networks, ranges, seed=derive_int(seed, "networks")

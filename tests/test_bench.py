@@ -395,6 +395,16 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="n_pairs"):
             BenchConfig(store_dir=str(tmp_path / "store"), n_pairs=2.5)
 
+    def test_unworkable_pair_split_refused_before_the_store_is_written(self, tmp_path):
+        # two pairs leave each half with one pair type, whatever the seed
+        targets, task, refs = study_fixtures(1)
+        store = tmp_path / "store"
+        with pytest.raises(DegenerateSplitError):
+            run_study(targets, task, refs,
+                      BenchConfig(seed=1, search=MICRO, n_pairs=2, unit_sample=1,
+                                  store_dir=str(store)))
+        assert not store.exists()
+
     def test_smoke_emits_all_measure_columns(self, tmp_path):
         targets, task, refs = study_fixtures(2)
         config = BenchConfig(seed=1, search=MICRO, n_pairs=60, unit_sample=1,

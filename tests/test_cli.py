@@ -536,6 +536,18 @@ class TestBench:
         assert "n_pairs" in error_payload(capsys)["message"]
         assert not store.exists()
 
+    @pytest.mark.parametrize("keys, error", [
+        ({"task": {"samples_per_class": 1}}, "ValueError"),
+        ({"n_pairs": 2}, "DegenerateSplitError"),
+    ], ids=["one_item_per_class", "two_pairs"])
+    def test_unworkable_pair_split_in_study_config(self, tmp_path, capsys, keys, error):
+        blob = dict(study_blob(), **keys)
+        store = tmp_path / "store"
+        assert main(["bench", "--config", self.write_config(tmp_path, blob),
+                     "--out", str(store), "--workers", "1"]) == 1
+        assert error_payload(capsys)["type"] == error
+        assert not store.exists()
+
     @pytest.mark.parametrize("key", ["n_networks", "n_references", "n_pairs", "unit_sample"])
     def test_fractional_count_in_study_config(self, tmp_path, capsys, key):
         blob = dict(study_blob(), **{key: 2.5})
