@@ -8,6 +8,7 @@ the constraint always holds exactly at the point of evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -140,9 +141,12 @@ def project_sphere_batch(rows: np.ndarray, energy: float) -> np.ndarray:
     """
     rows = np.asarray(rows, dtype=np.float64)
     norms = np.sqrt(np.vecdot(rows, rows))
-    if not np.all(np.isfinite(norms)):
+    # checked as a list: at a generation's few rows, numpy reductions
+    # would cost more than the projection itself
+    listed = norms.tolist()
+    if not math.isfinite(sum(listed)):
         raise NonFiniteError("cannot project non-finite values")
-    if not np.all(norms):
+    if 0.0 in listed:
         raise ZeroVectorError("cannot project the zero vector onto the sphere")
     return rows * (energy / norms)[:, None]
 
