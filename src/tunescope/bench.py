@@ -103,14 +103,12 @@ class TaskSpec:
     frequency_range: tuple[float, float] = (1.0, 4.0)
     phase_jitter: float = float(np.pi)
     position_jitter: float = 1.0
-    energy: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         check_fields(
             self, dict(n_classes=2, samples_per_class=1, height=1, width=1, seed=None),
-            positive=("energy",), nonnegative=("phase_jitter", "position_jitter"),
-            lists=("frequency_range",),
+            nonnegative=("phase_jitter", "position_jitter"), lists=("frequency_range",),
         )
         bounds = tuple(self.frequency_range)
         reals = len(bounds) == 2 and all(map(is_finite_real, bounds))
@@ -138,7 +136,7 @@ def _oriented_grating(
 
 
 def generate_task_stimuli(spec: TaskSpec) -> StimulusSet:
-    """Labelled task set, every item projected to the shared energy."""
+    """Labelled task set, every item projected to unit energy."""
     rng = derive_rng(spec.seed, "task")
     lo, hi = spec.frequency_range
     frequencies = np.linspace(lo, hi, spec.n_classes)
@@ -153,7 +151,7 @@ def generate_task_stimuli(spec: TaskSpec) -> StimulusSet:
             patch = _oriented_grating(
                 spec.height, spec.width, frequencies[k], orientation, phase, dy, dx
             )
-            items.append(project_sphere(patch.ravel(), spec.energy, patch.shape))
+            items.append(project_sphere(patch.ravel(), 1.0, patch.shape))
             labels.append(k)
     return StimulusSet(items=tuple(items), labels=tuple(labels))
 

@@ -204,17 +204,18 @@ def _resolve_gen_net(args):
 def _gen_net(spec, out: Path) -> None:
     write_network_weights(draw_kernels(spec), out / "weights.bin")
     side = spec.input_shape[0]
+    response_dim = spec.levels[-1].n_filters
     write_json(
         out / "manifest.json",
         {
             "input_shape": list(spec.input_shape),
-            "response_dim": spec.top_layer_neurons,
+            "response_dim": response_dim,
             "weights": "weights.bin",
             "spec": spec_to_json(spec),
         },
     )
     print(f"input_shape: {side}x{side}")
-    print(f"response_dim: {spec.top_layer_neurons}")
+    print(f"response_dim: {response_dim}")
     print(f"manifest: {out / 'manifest.json'}")
 
 

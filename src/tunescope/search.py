@@ -81,19 +81,19 @@ _COUNTS = dict(
 class SearchConfig:
     """Budgets, grids and seeding for one full characterization.
 
-    Budgets are per dimension: a target with N inputs gets
-    ``optimal_budget_per_dim * N`` evaluations for each optimal-stimulus
-    run and ``path_budget_per_dim * N`` per cone angle.  Cone angles
+    Every search runs on the unit-energy sphere.  Budgets are per
+    dimension: a target with N inputs gets ``optimal_budget_per_dim * N``
+    evaluations for each optimal-stimulus run and
+    ``path_budget_per_dim * N`` per cone angle.  Cone angles
     (``deltas``, at least one, and ``subspace_delta``) are reals in
     (0, pi].  ``alpha_set`` holds at least one finite real.  The
     seed is an integer.  A subspace needs at least two runs; every other
     run count, candidate count and budget, and the stagnation window, is
-    an integer and at least 1.  ``energy`` and both initial steps are
-    finite and above 0, and ``step_tolerance`` is finite and at least 0.
+    an integer and at least 1.  Both initial steps are finite and
+    above 0, and ``step_tolerance`` is finite and at least 0.
     """
 
     seed: int = 0
-    energy: float = 1.0
     optimal_runs: int = 2
     optimal_budget_per_dim: int = 100
     optimal_sigma0: float = 0.3
@@ -111,7 +111,7 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         check_fields(
-            self, _COUNTS, positive=("energy", "optimal_sigma0", "path_sigma0"),
+            self, _COUNTS, positive=("optimal_sigma0", "path_sigma0"),
             nonnegative=("step_tolerance",), lists=("deltas", "alpha_set"),
         )
         if not self.deltas:
@@ -258,7 +258,7 @@ def optimal_plan(target: TargetHandle, config: SearchConfig) -> Plan:
     ``optimal_runs`` searches."""
     if target.response_dim != 1:
         raise ValueError("optimal stimulus search needs a scalar target")
-    objective = sphere_search_objective(target, config.energy)
+    objective = sphere_search_objective(target, 1.0)
     budget = config.optimal_budget_per_dim * target.size
     searches = []
     seedings = []
@@ -395,7 +395,7 @@ def reconstruct_plan(target: TargetHandle, x_star: Stimulus, config: SearchConfi
     """Plan of ``reconstruct``: the reference is forwarded and the
     seedings run, then one round of ``reconstruct_runs`` searches."""
     reference_response = target.evaluate(x_star)
-    objective = sphere_search_objective(match_fitness(target, reference_response), config.energy)
+    objective = sphere_search_objective(match_fitness(target, reference_response), 1.0)
     budget = config.reconstruct_budget_per_dim * target.size
     searches = []
     for i in range(config.reconstruct_runs):

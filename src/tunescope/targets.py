@@ -197,33 +197,16 @@ class SthorSpec:
 
     The network input shape is the composed receptive field of the
     cascade, so the final feature map is exactly one unit per channel
-    and the readout is unambiguous.  ``declared_input`` optionally pins
-    the intended side length; a mismatch with the composed field is a
-    geometry error.
+    and the readout is the top level's filters.
     """
 
     levels: tuple[LevelSpec, ...]
-    top_layer_neurons: int = 32
     weight_seed: int = 0
-    declared_input: int | None = None
 
     def __post_init__(self) -> None:
-        check_fields(self, dict(top_layer_neurons=1, weight_seed=0))
-        if self.declared_input is not None:
-            check_fields(self, dict(declared_input=1))
+        check_fields(self, dict(weight_seed=0))
         if not 1 <= len(self.levels) <= 2:
             raise GeometryError(f"{len(self.levels)} levels unsupported (want 1 or 2)")
-        if self.levels[-1].n_filters != self.top_layer_neurons:
-            raise GeometryError(
-                f"top level has {self.levels[-1].n_filters} filters, "
-                f"declared readout is {self.top_layer_neurons}"
-            )
-        composed = _receptive_field(self.levels)
-        if self.declared_input is not None and self.declared_input != composed:
-            raise GeometryError(
-                f"declared input side {self.declared_input} != composed "
-                f"receptive field {composed}"
-            )
 
     @property
     def input_shape(self) -> tuple[int, int]:
@@ -418,7 +401,7 @@ def sthor_network(spec: SthorSpec, kernels: list[np.ndarray] | None = None) -> T
     return TargetHandle(
         side,
         side,
-        spec.top_layer_neurons,
+        spec.levels[-1].n_filters,
         partial(_cascade_batch, stages, side, chunk),
         name=f"sthor-l{len(spec.levels)}",
         fingerprint={"spec": spec_to_json(spec), "kernels_sha256": float64_sha256(*kernels)},
@@ -488,18 +471,14 @@ def match_fitness(target: TargetHandle, reference_response: np.ndarray) -> Targe
 def default_l1_spec(weight_seed: int = 0) -> SthorSpec:
     """Single-level cascade on an 11x11 field (N=121)."""
     level = LevelSpec(kernel_size=7, n_filters=32, pool_size=5, pool_stride=1)
-    return SthorSpec(
-        levels=(level,), top_layer_neurons=32, weight_seed=weight_seed, declared_input=11
-    )
+    return SthorSpec(levels=(level,), weight_seed=weight_seed)
 
 
 def default_l2_spec(weight_seed: int = 0) -> SthorSpec:
     """Two-level cascade on a 21x21 field (N=441)."""
     first = LevelSpec(kernel_size=7, n_filters=16, pool_size=3, pool_stride=2)
     second = LevelSpec(kernel_size=5, n_filters=32, pool_size=3, pool_stride=1)
-    return SthorSpec(
-        levels=(first, second), top_layer_neurons=32, weight_seed=weight_seed, declared_input=21
-    )
+    return SthorSpec(levels=(first, second), weight_seed=weight_seed)
 
 
 @dataclass(frozen=True)
@@ -536,7 +515,7 @@ def sample_network_population(
 
     Hidden-level filter counts, every level's pool exponent and
     normalization strength are drawn uniformly from ``ranges``; the top
-    level keeps the declared readout width.  Returns the handles and a
+    level keeps ``base_spec``'s filter count, the readout width.  Returns the handles and a
     JSON-ready manifest of everything that was drawn.
     """
     if n_networks < 1:
@@ -550,9 +529,7 @@ def sample_network_population(
         for level_index, level in enumerate(base_spec.levels):
             is_top = level_index == len(base_spec.levels) - 1
             n_filters = (
-                base_spec.top_layer_neurons
-                if is_top
-                else rng.choice(np.asarray(ranges.n_filters)).item()
+                level.n_filters if is_top else rng.choice(np.asarray(ranges.n_filters)).item()
             )
             levels.append(
                 replace(

@@ -112,11 +112,6 @@ class TestTaskGeneration:
         )
         assert not np.array_equal(first[0].values, shifted[0].values)
 
-    def test_common_energy(self):
-        task = generate_task_stimuli(TaskSpec(energy=2.5))
-        for item in task:
-            assert np.linalg.norm(item.values) == pytest.approx(2.5, abs=1e-9)
-
     @pytest.mark.parametrize("key, value", [("samples_per_class", 2.5), ("seed", 1.5)])
     def test_non_integer_count_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):

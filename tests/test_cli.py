@@ -660,6 +660,42 @@ class TestBench:
                      "--out", str(tmp_path / "store")]) == 1
 
 
+# fields that could only restate or contradict another; even a value that
+# agrees is refused, by the file's own decoder
+REMOVED_FIELDS = [
+    ("spec", "top_layer_neurons", 32), ("spec", "declared_input", 21),
+    ("solver", "energy", 1.0), ("task", "energy", 1.0),
+    ("study.search", "energy", 1.0), ("study.task", "energy", 1.0),
+]
+
+
+@pytest.mark.parametrize("where, key, value", REMOVED_FIELDS,
+                         ids=[f"{where}-{key}" for where, key, _ in REMOVED_FIELDS])
+def test_removed_field_is_config_error(tmp_path, capsys, where, key, value):
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    if where == "spec":
+        config.write_text(json.dumps(dict(spec_to_json(default_l2_spec()), **{key: value})))
+        argv = ["gen-net", "--spec", str(config)]
+    elif where == "solver" or where == "task":
+        files = {"solver": dict(MICRO_SEARCH), "task": {"n_classes": 4, "samples_per_class": 6}}
+        files[where][key] = value
+        for name, blob in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(blob))
+        argv = ["characterize", "--target", "linear", "--shape", "11",
+                "--config", str(tmp_path / "solver.json"), "--task", str(tmp_path / "task.json")]
+    else:
+        blob = study_blob()
+        section = where.split(".")[1]
+        blob[section] = dict(blob[section], **{key: value})
+        config.write_text(json.dumps(blob))
+        argv = ["bench", "--config", str(config)]
+    assert main([*argv, "--out", str(out)]) == 1
+    error = error_payload(capsys)
+    assert error["type"] == "ValueError" and key in error["message"]
+    assert not out.exists()
+
+
 def store_files(store: Path) -> dict:
     files = sorted(path for path in store.rglob("*") if path.is_file())
     return {path.relative_to(store): path.read_bytes() for path in files}

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tunescope import targets as targets_module
-from tunescope.errors import GeometryError
 from tunescope.stimulus import Stimulus, project_cone_batch, project_sphere
 from tunescope.targets import (
     HyperRanges,
@@ -181,7 +180,7 @@ class TestSthorNetwork:
             pool_exponent=1.0,
             norm_enabled=False,
         )
-        spec = SthorSpec(levels=(level,), top_layer_neurons=1, weight_seed=0)
+        spec = SthorSpec(levels=(level,), weight_seed=0)
         delta = np.zeros((1, 1, 3, 3))
         delta[0, 0, 1, 1] = 1.0
         target = sthor_network(spec, kernels=[delta])
@@ -208,13 +207,6 @@ class TestSthorNetwork:
         assert np.all(np.isfinite(responses))
         assert np.all(responses >= 0)
 
-    def test_declared_input_mismatch_rejected(self):
-        # the composed receptive field of the default single-level
-        # cascade is 11, so declaring 13 is a contradiction
-        level = LevelSpec(kernel_size=7, n_filters=1, pool_size=5, pool_stride=1)
-        with pytest.raises(GeometryError):
-            SthorSpec(levels=(level,), top_layer_neurons=1, declared_input=13)
-
     def test_zero_pool_exponent_rejected(self):
         with pytest.raises(ValueError, match="pool_exponent"):
             LevelSpec(kernel_size=7, n_filters=1, pool_size=5, pool_exponent=0)
@@ -222,7 +214,7 @@ class TestSthorNetwork:
     def test_negative_weight_seed_rejected(self):
         level = LevelSpec(kernel_size=7, n_filters=1, pool_size=5, pool_stride=1)
         with pytest.raises(ValueError, match="weight_seed"):
-            SthorSpec(levels=(level,), top_layer_neurons=1, weight_seed=-1)
+            SthorSpec(levels=(level,), weight_seed=-1)
 
     def test_kernels_zero_mean_unit_norm(self):
         for w in draw_kernels(default_l2_spec(weight_seed=8)):
@@ -240,7 +232,7 @@ class TestSthorNetwork:
             norm_enabled=True,
             norm_radius=1,
         )
-        spec = SthorSpec(levels=(level,), top_layer_neurons=4, weight_seed=10)
+        spec = SthorSpec(levels=(level,), weight_seed=10)
         target = sthor_network(spec)
         kernels = draw_kernels(spec)
         rng = np.random.default_rng(11)
@@ -257,7 +249,6 @@ class TestSthorNetwork:
                 LevelSpec(kernel_size=3, n_filters=2, pool_size=2, pool_stride=1,
                           pool_exponent=1.0, norm_strength=0.5),
             ),
-            top_layer_neurons=2,
             weight_seed=12,
         )
         target = sthor_network(spec)
@@ -491,10 +482,10 @@ class TestSerialization:
         spec = default_l1_spec(weight_seed=4)
         level = spec.levels[0]
         blob = {"levels": [{"kernel_size": level.kernel_size, "n_filters": level.n_filters}],
-                "top_layer_neurons": spec.top_layer_neurons, "weight_seed": 4}
+                "weight_seed": 4}
         rebuilt = spec_from_json(blob)
         assert rebuilt.levels[0] == LevelSpec(level.kernel_size, level.n_filters)
-        assert rebuilt.declared_input is None
+        assert rebuilt.weight_seed == 4
 
     def test_weights_round_trip(self, tmp_path):
         kernels = draw_kernels(default_l2_spec(weight_seed=26))
