@@ -210,18 +210,11 @@ class SthorSpec:
 
     @property
     def input_shape(self) -> tuple[int, int]:
-        side = _receptive_field(self.levels)
+        side, jump = 1, 1
+        for level in self.levels:
+            side += (level.kernel_size - 1 + level.pool_size - 1) * jump
+            jump *= level.pool_stride
         return (side, side)
-
-
-def _receptive_field(levels: tuple[LevelSpec, ...]) -> int:
-    rf = 1
-    jump = 1
-    for level in levels:
-        rf += (level.kernel_size - 1) * jump
-        rf += (level.pool_size - 1) * jump
-        jump *= level.pool_stride
-    return rf
 
 
 def _level_sides(spec: SthorSpec) -> list[int]:
@@ -527,14 +520,11 @@ def sample_network_population(
         weight_seed = derive_int(seed, "population", i, "weights")
         levels = []
         for level_index, level in enumerate(base_spec.levels):
-            is_top = level_index == len(base_spec.levels) - 1
-            n_filters = (
-                level.n_filters if is_top else rng.choice(np.asarray(ranges.n_filters)).item()
-            )
+            if level_index < len(base_spec.levels) - 1:  # the top keeps the readout width
+                level = replace(level, n_filters=rng.choice(np.asarray(ranges.n_filters)).item())
             levels.append(
                 replace(
                     level,
-                    n_filters=n_filters,
                     pool_exponent=float(rng.choice(np.asarray(ranges.pool_exponent))),
                     norm_strength=float(rng.choice(np.asarray(ranges.norm_strength))),
                 )
