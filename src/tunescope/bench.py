@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .errors import DegenerateSplitError, check_fields, is_finite_real
+from .errors import DegenerateSplitError, RankDeficientError, ZeroVarianceError, check_fields
+from .errors import is_finite_real
 from .measures import (
     MeasureReport,
     build_fd_diagram,
@@ -64,6 +65,7 @@ __all__ = [
     "correlation_stage",
     "run_study",
     "collect_reports",
+    "read_study_config",
 ]
 
 # the correlation stage needs at least this many networks
@@ -74,15 +76,10 @@ MIN_NETWORKS_FOR_TABLE = 10
 # change that moves trajectories on purpose.
 TRAJECTORY_VERSION = 2
 
-# correlation-table row order; the spectrum column joins only the ALL fit
-FIG9_ROWS = (
-    ("OSEP", "osep"),
-    ("INPP", "inpp"),
-    ("SLPP", "slpp"),
-    ("INSC", "insc"),
-    ("ITSA", "itsa"),
-    ("STSA", "stsa"),
-    ("TSES", "tses"),
+# correlation-table rows in order, each labelled by its measure's name in
+# capitals; the spectrum column, OSSC, joins only the ALL fit
+FIG9_ROWS = tuple(
+    (name.upper(), name) for name in ("osep", "inpp", "slpp", "insc", "itsa", "stsa", "tses")
 )
 
 
@@ -409,14 +406,25 @@ class BenchResult:
     all_r2: float | None
 
 
+def _varying(name: str, values, error: type = ZeroVarianceError) -> np.ndarray:
+    """``values`` as floats; ``error``, naming the column, if they are all equal."""
+    values = np.asarray(values, dtype=np.float64)
+    if np.all(values == values[0]):
+        raise error(f"{name} is the same for every network")
+    return values
+
+
 def correlation_table(
     reports, performances, seed: int = 0, n_perm: int = 10_000
 ) -> tuple[tuple[dict, ...], float]:
-    """Measure-vs-performance statistics plus the joint R² of all eight."""
-    perf = np.asarray(performances, dtype=np.float64)
+    """Measure-vs-performance statistics plus the joint R² of all eight.
+
+    A column that is the same for every network raises an error naming it.
+    """
+    perf = _varying("performance", performances)
     rows = []
     for label, field_name in FIG9_ROWS:
-        values = np.array([getattr(r, field_name) for r in reports], dtype=np.float64)
+        values = _varying(label, [getattr(r, field_name) for r in reports])
         rows.append(
             {
                 "measure": label,
@@ -431,6 +439,7 @@ def correlation_table(
                 ),
             }
         )
+    _varying("OSSC", [r.ossc for r in reports], RankDeficientError)
     design = np.column_stack(
         [[getattr(r, name) for r in reports] for name in MeasureReport.FIELDS]
     )
@@ -562,14 +571,10 @@ def run_study(
     store = Path(config.store_dir)
     fingerprint = _study_fingerprint(population, task, references, config)
     fp_path = store / "study_config.json"
-    if fp_path.exists():
-        with open(fp_path, encoding="ascii") as fh:
-            if json.load(fh) != fingerprint:
-                raise ValueError(
-                    f"artifact store {store} was built with a different study config"
-                )
-    else:
+    if not fp_path.exists():
         write_json(fp_path, fingerprint)
+    elif read_study_config(store) != fingerprint:
+        raise ValueError(f"artifact store {store} was built with a different study config")
 
     jobs = []
     for index, target in enumerate(population):
@@ -609,8 +614,7 @@ def collect_reports(store_dir) -> tuple[tuple[float, ...], tuple[MeasureReport, 
     different study.
     """
     store = Path(store_dir)
-    with open(store / "study_config.json", encoding="ascii") as fh:
-        n_networks = json.load(fh)["n_networks"]
+    n_networks = read_study_config(store)["n_networks"]
     net_dirs = [_network_dir(store, index) for index in range(n_networks)]
     loaded = [_load_network(net_dir) for net_dir in net_dirs]
     unreadable = [net_dir.name for net_dir, entry in zip(net_dirs, loaded) if entry is None]
@@ -619,3 +623,17 @@ def collect_reports(store_dir) -> tuple[tuple[float, ...], tuple[MeasureReport, 
             f"missing or unreadable report.json under {store}: {', '.join(unreadable)}"
         )
     return tuple(entry[0] for entry in loaded), tuple(entry[1] for entry in loaded)
+
+
+def read_study_config(store_dir) -> dict:
+    """An artifact store's ``study_config.json``; ``ValueError`` naming the
+    file unless it is a JSON object whose ``n_networks`` is an integer >= 1."""
+    path = Path(store_dir) / "study_config.json"
+    try:
+        blob = json.loads(path.read_text(encoding="ascii"))
+        count = blob["n_networks"]
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise ValueError(f"cannot read n_networks from {path}: {exc!r}") from exc
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ValueError(f"{path}: n_networks is {count!r}; it must be an integer >= 1")
+    return blob

@@ -32,6 +32,7 @@ from .bench import (
     collect_reports,
     correlation_stage,
     generate_task_stimuli,
+    read_study_config,
     run_study,
     sample_references,
     study_split_seed,
@@ -100,12 +101,12 @@ def _require_path(token: str, what: str) -> Path:
     return path
 
 
-def _search_from(args, master_seed: int) -> SearchConfig:
-    blob = {}
-    if getattr(args, "config", None):
-        blob = _load_json(_require_path(args.config, "solver config"))
-    config = from_mapping(SearchConfig, blob, "solver config")
-    return replace(config, seed=master_seed)
+def _search_from(blob) -> SearchConfig:
+    """Decode a solver config; it names no seed, as every search seed
+    derives from the master seed."""
+    if isinstance(blob, dict) and "seed" in blob:
+        raise ValueError("solver config: search seeds derive from the master seed; remove seed")
+    return from_mapping(SearchConfig, blob, "solver config")
 
 
 def _master_seed(args, default: int = 0) -> int:
@@ -204,18 +205,17 @@ def _resolve_gen_net(args):
 def _gen_net(spec, out: Path) -> None:
     write_network_weights(draw_kernels(spec), out / "weights.bin")
     side = spec.input_shape[0]
-    response_dim = spec.levels[-1].n_filters
     write_json(
         out / "manifest.json",
         {
             "input_shape": list(spec.input_shape),
-            "response_dim": response_dim,
+            "response_dim": spec.levels[-1].n_filters,
             "weights": "weights.bin",
             "spec": spec_to_json(spec),
         },
     )
     print(f"input_shape: {side}x{side}")
-    print(f"response_dim: {response_dim}")
+    print(f"response_dim: {spec.levels[-1].n_filters}")
     print(f"manifest: {out / 'manifest.json'}")
 
 
@@ -247,7 +247,8 @@ def _resolve_target(args, scalar: bool, budgets: tuple[str, ...]) -> _TargetRun:
     """Load target, task and search; a ``scalar`` command needs one output,
     and each budget kind the command runs must buy one generation."""
     seed = _master_seed(args)
-    search = _search_from(args, seed)
+    blob = _load_json(_require_path(args.config, "solver config")) if args.config else {}
+    search = replace(_search_from(blob), seed=seed)
     target = _load_target(args.target, args.shape, seed)
     _check_budgets(search, target.size, budgets)
     task, task_blob = _task_from(args)
@@ -431,12 +432,7 @@ def _resolve_bench(args):
     blob = _load_json(_require_path(args.config, "study config"))
     study = from_mapping(_Study, blob, "study config")
     seed = _master_seed(args, study.seed)
-    if "seed" in study.search:
-        raise ValueError(
-            "study config: per-network solver seeds derive from the master "
-            "seed; remove search.seed"
-        )
-    search = from_mapping(SearchConfig, study.search, "solver config")
+    search = _search_from(study.search)
     store = Path(args.out)
     if store.exists() and any(store.iterdir()) and not args.resume:
         raise ValueError(f"store {store} is not empty; pass --resume to continue")
@@ -492,8 +488,8 @@ def _bench(population, task, references, config: BenchConfig, run_json: dict) ->
 
 
 def _resolve_report(args):
-    store = _require_path(args.store, "store")
-    _require_path(store / "study_config.json", "store config")
+    store = Path(args.store)
+    read_study_config(store)
     if args.permutations < 1:
         raise ValueError(f"--permutations is {args.permutations}; it must be at least 1")
     out = Path(args.out) if args.out else store

@@ -580,7 +580,7 @@ class TestRunStudy:
         refs = sample_references(task, 2, seed=9)
         targets = [linear_target(seed=0)] * 10
         store = tmp_path / "store"
-        with pytest.raises(ZeroVarianceError):
+        with pytest.raises(ZeroVarianceError, match="performance"):
             run_study(targets, task, refs,
                       BenchConfig(seed=1, search=MICRO, n_pairs=60,
                                   unit_sample=1, store_dir=str(store)))

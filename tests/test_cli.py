@@ -12,9 +12,11 @@ import pytest
 
 import tunescope
 from tunescope.bench import TRAJECTORY_VERSION
-from tunescope.cli import main
+from tunescope.cli import _build_parser, main
 from tunescope.measures import MeasureReport
 from tunescope.targets import default_l2_spec, spec_to_json
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 MICRO_SEARCH = {
     "optimal_runs": 1,
@@ -433,6 +435,18 @@ class TestEncodeAndMeasure:
                      "--out", str(tmp_path / "mea")]) == 1
 
 
+@pytest.mark.parametrize("command", ["characterize", "paths", "subspace", "encode", "measure"])
+def test_solver_config_seed_is_config_error(tmp_path, capsys, task_file, command):
+    config = tmp_path / "search.json"
+    config.write_text(json.dumps(dict(MICRO_SEARCH, seed=99)))
+    out = tmp_path / "out"
+    task = ["--task", task_file] if command == "encode" else []
+    assert main([command, "--target", "linear", "--shape", "11", *task, "--seed", "3",
+                 "--config", str(config), "--out", str(out)]) == 1
+    assert "master seed; remove seed" in error_payload(capsys)["message"]
+    assert not out.exists()
+
+
 def study_blob(n_networks=2):
     return {
         "seed": 4,
@@ -458,6 +472,12 @@ UNUSABLE_STUDY = [
     ({"ranges": {"n_filters": 8}}, "n_filters"),
     ({"ranges": {"pool_exponent": 2.0}}, "pool_exponent"),
 ]
+
+
+# a study_config.json that no reader can use: truncated, not an object,
+# and a network count that is not an integer
+DAMAGED_STUDY_CONFIGS = ['{"n_networks": ', "[]", '{"n_networks": "3"}']
+DAMAGED_IDS = ["truncated", "list", "string-count"]
 
 
 class TestBench:
@@ -658,6 +678,26 @@ class TestBench:
         config = self.write_config(tmp_path, blob)
         assert main(["bench", "--config", config,
                      "--out", str(tmp_path / "store")]) == 1
+
+    @pytest.mark.parametrize("content", DAMAGED_STUDY_CONFIGS, ids=DAMAGED_IDS)
+    def test_resume_with_damaged_study_config_names_it(self, tmp_path, capsys, content):
+        config = self.write_config(tmp_path, study_blob(n_networks=3))
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "study_config.json").write_text(content)
+        assert main(["bench", "--config", config, "--out", str(store),
+                     "--resume", "--workers", "1"]) == 2
+        error = error_payload(capsys)
+        assert error["type"] == "ValueError" and "study_config.json" in error["message"]
+        assert store_files(store) == {Path("study_config.json"): content.encode()}
+
+    def test_shipped_study_config_resolves(self, tmp_path):
+        store = tmp_path / "store"
+        args = _build_parser().parse_args(
+            ["bench", "--config", str(SCRIPTS / "study_l2.json"), "--out", str(store)]
+        )
+        assert callable(args.resolve(args))
+        assert not store.exists()
 
 
 # fields that could only restate or contradict another; even a value that
@@ -868,6 +908,29 @@ class TestReport:
         assert main(["report", "--store", str(store), "--out", str(out)]) == 1
         assert "study_config.json" in error_payload(capsys)["message"]
         assert not out.exists()
+        assert not (store / "summary.json").exists()
+
+    @pytest.mark.parametrize("content", DAMAGED_STUDY_CONFIGS, ids=DAMAGED_IDS)
+    def test_damaged_study_config_is_config_error(self, tmp_path, capsys, content):
+        store = self.fabricate_store(tmp_path, n=3)
+        (store / "study_config.json").write_text(content)
+        assert main(["report", "--store", str(store)]) == 1
+        error = error_payload(capsys)
+        assert error["type"] == "ValueError" and "study_config.json" in error["message"]
+        assert not (store / "summary.json").exists()
+
+    @pytest.mark.parametrize("measure, error", [("osep", "ZeroVarianceError"),
+                                                ("ossc", "RankDeficientError")])
+    def test_constant_measure_is_named(self, tmp_path, capsys, measure, error):
+        store = self.fabricate_store(tmp_path, n=10)
+        for path in store.glob("network_*/report.json"):
+            blob = json.loads(path.read_text())
+            blob["measures"][measure] = 0.5
+            path.write_text(json.dumps(blob, sort_keys=True))
+        assert main(["report", "--store", str(store), "--permutations", "50"]) == 2
+        payload = error_payload(capsys)
+        assert payload["type"] == error
+        assert payload["message"] == f"{measure.upper()} is the same for every network"
         assert not (store / "summary.json").exists()
 
     @pytest.mark.parametrize("permutations", ["0", "-5"])
