@@ -508,8 +508,8 @@ def sample_network_population(
 
     Hidden-level filter counts, every level's pool exponent and
     normalization strength are drawn uniformly from ``ranges``; the top
-    level keeps ``base_spec``'s filter count, the readout width.  Returns the handles and a
-    JSON-ready manifest of everything that was drawn.
+    level keeps ``base_spec``'s filter count, the readout width.  Returns
+    the handles and a JSON-ready manifest of everything that was drawn.
     """
     if n_networks < 1:
         raise ValueError("need at least one network")

@@ -717,7 +717,7 @@ def test_removed_field_is_config_error(tmp_path, capsys, where, key, value):
     if where == "spec":
         config.write_text(json.dumps(dict(spec_to_json(default_l2_spec()), **{key: value})))
         argv = ["gen-net", "--spec", str(config)]
-    elif where == "solver" or where == "task":
+    elif where in ("solver", "task"):
         files = {"solver": dict(MICRO_SEARCH), "task": {"n_classes": 4, "samples_per_class": 6}}
         files[where][key] = value
         for name, blob in files.items():
