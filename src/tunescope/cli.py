@@ -170,7 +170,6 @@ def _write_stimulus(stimulus: Stimulus, stem: Path) -> None:
 def _write_optimal(out: Path, optimal) -> None:
     _write_stimulus(optimal.x_hat, out / "x_hat")
     write_json(out / "optimal.json", {"fitness": optimal.fitness,
-                                      "init_source": optimal.init_source,
                                       "run_records": list(optimal.run_records)})
 
 

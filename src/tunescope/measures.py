@@ -87,25 +87,19 @@ def spectral_complexity(x_hat: Stimulus) -> float:
     return float((l1 / l2 - 1.0) / (np.sqrt(m) - 1.0))
 
 
-def explanation_power(
-    x_hat: Stimulus, task: StimulusSet, top_fraction: float = 1.0
-) -> float:
-    """Mean rectified inner product against the closest task stimuli.
+def explanation_power(x_hat: Stimulus, task: StimulusSet) -> float:
+    """Mean rectified inner product against the task stimuli.
 
-    All stimuli are normalized to unit energy first; with
-    ``top_fraction < 1`` only the best-matching fraction contributes.
+    All stimuli are normalized to unit energy first.
     """
-    if not 0 < top_fraction <= 1:
-        raise ValueError("top fraction must be in (0, 1]")
     if x_hat.shape != task.shape:
         raise ValueError("optimal stimulus and task shapes differ")
     unit_hat = x_hat.unit()
     matrix = task.matrix()
     units = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
     rectified = np.maximum(units @ unit_hat, 0.0)
-    k = max(1, int(len(task) * top_fraction))
-    top = np.sort(rectified)[-k:]
-    return float(top.mean())
+    # summed in sorted order, as the recorded values were; unsorted, OSEP moves in the last bit
+    return float(np.sort(rectified).mean())
 
 
 def _gaussian_window(size: int, sigma: float) -> np.ndarray:

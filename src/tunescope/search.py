@@ -130,8 +130,6 @@ class SearchConfig:
 class OptimalStimulusResult:
     x_hat: Stimulus
     fitness: float
-    trace: SearchTrace
-    init_source: dict
     run_records: tuple[dict, ...]
 
 
@@ -155,7 +153,6 @@ class SubspaceSample:
 @dataclass(frozen=True)
 class ReconstructionSet:
     reference: Stimulus
-    reference_response: np.ndarray
     reconstructions: tuple[Stimulus, ...]
     fitnesses: tuple[float, ...]
 
@@ -288,20 +285,9 @@ def optimal_plan(target: TargetHandle, config: SearchConfig) -> Plan:
             }
         )
         if best is None or trace.best_fitness > best[1]:
-            best = (point, trace.best_fitness, trace)
-    point, fitness, trace = best
-    init_source = {
-        "seed_candidates": config.seed_candidates,
-        "alpha_set": list(config.alpha_set),
-        "runs": config.optimal_runs,
-    }
-    return OptimalStimulusResult(
-        x_hat=point,
-        fitness=float(fitness),
-        trace=trace,
-        init_source=init_source,
-        run_records=tuple(records),
-    )
+            best = (point, trace.best_fitness)
+    point, fitness = best
+    return OptimalStimulusResult(x_hat=point, fitness=float(fitness), run_records=tuple(records))
 
 
 def optimal_stimulus(target: TargetHandle, config: SearchConfig) -> OptimalStimulusResult:
@@ -394,8 +380,7 @@ def subspace_sample(
 def reconstruct_plan(target: TargetHandle, x_star: Stimulus, config: SearchConfig) -> Plan:
     """Plan of ``reconstruct``: the reference is forwarded and the
     seedings run, then one round of ``reconstruct_runs`` searches."""
-    reference_response = target.evaluate(x_star)
-    objective = sphere_search_objective(match_fitness(target, reference_response), 1.0)
+    objective = sphere_search_objective(match_fitness(target, target.evaluate(x_star)), 1.0)
     budget = config.reconstruct_budget_per_dim * target.size
     searches = []
     for i in range(config.reconstruct_runs):
@@ -411,7 +396,6 @@ def reconstruct_plan(target: TargetHandle, x_star: Stimulus, config: SearchConfi
     outcomes = yield searches
     return ReconstructionSet(
         reference=x_star,
-        reference_response=reference_response,
         reconstructions=tuple(point for point, _ in outcomes),
         fitnesses=tuple(float(trace.best_fitness) for _, trace in outcomes),
     )

@@ -24,7 +24,7 @@ loop with one member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -81,22 +81,17 @@ class TerminationReason(str, Enum):
 
 @dataclass
 class SearchTrace:
-    """Best-so-far history and accounting of one run.
+    """Best objective value and accounting of one run.
 
-    ``best_fitness_history`` holds (evaluations_used, objective value)
-    pairs appended on every strict improvement; the value column is
-    monotone in the direction of the search.  The trace keeps no
+    ``best_fitness`` is None until the start point is scored, then the
+    objective value at the best point so far.  The trace keeps no
     iterates; the best point is what the search returns.
     """
 
-    best_fitness_history: list[tuple[int, float]] = field(default_factory=list)
+    best_fitness: float | None = None
     termination_reason: TerminationReason | None = None
     evaluations_used: int = 0
     generations: int = 0
-
-    @property
-    def best_fitness(self) -> float:
-        return self.best_fitness_history[-1][1]
 
 
 @dataclass(frozen=True)
@@ -255,8 +250,7 @@ class _Run:
         self.strategy.counteval = 1
         self.trace.evaluations_used = 1
         self.best_raw = x0.values.copy()
-        self.best_score = search.sign * f0
-        self.trace.best_fitness_history.append((1, f0))
+        self.trace.best_fitness = f0
         self.stalled = 0
 
     def _checked(self, values: np.ndarray) -> np.ndarray:
@@ -288,10 +282,10 @@ class _Run:
         strategy.tell(points, scores)
 
         gen_best = int(np.argmax(scores))
-        if scores[gen_best] > self.best_score:
-            self.best_score = float(scores[gen_best])
+        # the sign is +-1, so this product restates the best score exactly
+        if scores[gen_best] > self.search.sign * trace.best_fitness:
             self.best_raw = points[gen_best].copy()
-            trace.best_fitness_history.append((trace.evaluations_used, float(fitness[gen_best])))
+            trace.best_fitness = float(fitness[gen_best])
             self.stalled = 0
         else:
             self.stalled += 1

@@ -78,33 +78,12 @@ class TestSpectralComplexity:
 
 
 class TestExplanationPower:
-    def test_task_containing_optimum_top_one(self):
-        rng = np.random.default_rng(2)
-        x_hat = unit_stim(rng.standard_normal(16), 4, 4)
-        others = [unit_stim(rng.standard_normal(16), 4, 4) for _ in range(9)]
-        task = StimulusSet(items=(x_hat, *others))
-        assert explanation_power(x_hat, task, top_fraction=0.1) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
     def test_antipodal_task_rectifies_to_zero(self):
         rng = np.random.default_rng(3)
         values = rng.standard_normal(16)
         x_hat = unit_stim(values, 4, 4)
         task = StimulusSet(items=(unit_stim(-values, 4, 4),))
         assert explanation_power(x_hat, task) == 0.0
-
-    def test_top_percent_of_hundred_is_max(self):
-        rng = np.random.default_rng(4)
-        x_hat = unit_stim(rng.standard_normal(25), 5, 5)
-        items = tuple(unit_stim(rng.standard_normal(25), 5, 5) for _ in range(100))
-        task = StimulusSet(items=items)
-        products = [
-            max(0.0, float(np.dot(item.unit(), x_hat.unit()))) for item in items
-        ]
-        assert explanation_power(x_hat, task, top_fraction=0.01) == pytest.approx(
-            max(products), abs=1e-12
-        )
 
     def test_full_fraction_matches_mean_oracle(self):
         rng = np.random.default_rng(5)
@@ -116,13 +95,6 @@ class TestExplanationPower:
         ]
         expected = math.fsum(products) / len(products)
         assert explanation_power(x_hat, task) == pytest.approx(expected, abs=1e-12)
-
-    def test_bad_fraction_rejected(self):
-        rng = np.random.default_rng(6)
-        x_hat = unit_stim(rng.standard_normal(16), 4, 4)
-        task = StimulusSet(items=(x_hat,))
-        with pytest.raises(ValueError):
-            explanation_power(x_hat, task, top_fraction=0.0)
 
 
 def naive_ssim(a, b, size, sigma, k1, k2, value_range):
@@ -212,7 +184,6 @@ class TestEncodingSpecificity:
     def make_set(self, reference, reconstructions):
         return ReconstructionSet(
             reference=reference,
-            reference_response=np.zeros(1),
             reconstructions=tuple(reconstructions),
             fitnesses=tuple(1.0 for _ in reconstructions),
         )

@@ -170,7 +170,6 @@ class TestOptimalStimulus:
         for record in result.run_records:
             assert record["fitness"] <= result.fitness + 1e-12
             assert record["evaluations"] <= 100 * 16
-        assert result.init_source["runs"] == FAST.optimal_runs
 
     def test_deterministic_per_seed(self):
         target, _ = make_linear()
@@ -313,7 +312,6 @@ class TestReconstruct:
         x_star = unit_stim(rng.standard_normal(16), 4, 4)
         result = reconstruct(identity, x_star, FAST)
         assert result.reference is x_star
-        assert np.array_equal(result.reference_response, x_star.values)
         assert len(result.reconstructions) == FAST.reconstruct_runs
         best = int(np.argmax(result.fitnesses))
         cosine = float(np.dot(result.reconstructions[best].unit(), x_star.unit()))
@@ -464,12 +462,10 @@ class TestLockstepProcedures:
         ):
             assert result.x_hat.values.tobytes() == expected.x_hat.values.tobytes()
             assert result.fitness == expected.fitness
-            assert result.trace == expected.trace
             assert result.run_records == expected.run_records
         expected = reconstruct(network, x_star, LOCKSTEP)
         assert same_points(recon.reconstructions, expected.reconstructions)
         assert recon.fitnesses == expected.fitnesses
-        assert recon.reference_response.tobytes() == expected.reference_response.tobytes()
 
     def test_plans_with_different_round_counts_run_together(self):
         rows = []
