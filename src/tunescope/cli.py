@@ -41,6 +41,7 @@ from .errors import check_fields, from_mapping
 from .measures import (
     MeasureReport,
     build_fd_diagram,
+    check_ssim_side,
     encoding_specificity,
     report_to_json,
     subspace_alignment,
@@ -141,13 +142,24 @@ def _load_target(token: str, side: int, seed: int) -> TargetHandle:
     return sthor_network(spec, kernels=kernels)
 
 
-def _task_from(args) -> tuple[StimulusSet | None, dict | None]:
+def _task_spec(blob, input_shape: tuple[int, int], what: str) -> TaskSpec:
+    """Decode a task spec for a network of ``input_shape``; a missing
+    ``height`` or ``width`` takes that shape's."""
+    if isinstance(blob, dict):
+        blob = {"height": input_shape[0], "width": input_shape[1], **blob}
+    spec = from_mapping(TaskSpec, blob, "task spec")
+    if (spec.height, spec.width) != input_shape:
+        raise ValueError(f"task shape {(spec.height, spec.width)} != {what} input {input_shape}")
+    return spec
+
+
+def _task_from(args, input_shape: tuple[int, int]) -> tuple[StimulusSet | None, dict | None]:
+    """The ``--task`` stimuli and the spec blob as written, or (None, None)."""
     token = getattr(args, "task", None)
     if not token:
         return None, None
     blob = _load_json(_require_path(token, "task spec"))
-    spec = from_mapping(TaskSpec, blob, "task spec")
-    return generate_task_stimuli(spec), blob
+    return generate_task_stimuli(_task_spec(blob, input_shape, "target")), blob
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +262,7 @@ def _resolve_target(args, scalar: bool, budgets: tuple[str, ...]) -> _TargetRun:
     search = replace(_search_from(blob), seed=seed)
     target = _load_target(args.target, args.shape, seed)
     _check_budgets(search, target.size, budgets)
-    task, task_blob = _task_from(args)
-    if task is not None and task.shape != target.input_shape:
-        raise ValueError(f"task shape {task.shape} != target input {target.input_shape}")
+    task, task_blob = _task_from(args, target.input_shape)
     unit = getattr(args, "unit", None)
     if unit is not None:
         target = unit_view(target, unit)
@@ -355,6 +365,7 @@ def _subspace(run: _TargetRun) -> None:
 
 def _resolve_encode(args):
     run = _resolve_target(args, False, ("reconstruct",))
+    check_ssim_side(run.target.input_shape)
     return partial(_encode, run, _references(run, args.references))
 
 
@@ -385,6 +396,7 @@ def _resolve_measure(args):
         if run.task is None:
             raise ValueError("population-level measure needs --task")
         _check_budgets(run.search, run.target.size, ("reconstruct",))
+        check_ssim_side(run.target.input_shape)
         references = _references(run, args.references)
     return partial(_measure, run, references, args.unit_sample)
 
@@ -448,13 +460,7 @@ def _resolve_bench(args):
     ranges = from_mapping(HyperRanges, study.ranges, "hyperparameter ranges")
 
     task_blob = {"seed": derive_int(seed, "task"), **study.task}
-    task_spec = from_mapping(TaskSpec, task_blob, "task spec")
-    if (task_spec.height, task_spec.width) != base_spec.input_shape:
-        raise ValueError(
-            f"task shape {(task_spec.height, task_spec.width)} != network "
-            f"input {base_spec.input_shape}"
-        )
-    task = generate_task_stimuli(task_spec)
+    task = generate_task_stimuli(_task_spec(task_blob, base_spec.input_shape, "network"))
     study_split_seed(task, config)
 
     population, manifest = sample_network_population(

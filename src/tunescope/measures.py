@@ -24,6 +24,7 @@ __all__ = [
     "spectral_complexity",
     "explanation_power",
     "ssim",
+    "check_ssim_side",
     "encoding_specificity",
     "path_potential_unit",
     "path_potential_population",
@@ -109,6 +110,12 @@ def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     return window / window.sum()
 
 
+def check_ssim_side(shape: tuple[int, int]) -> None:
+    """Refuse an image shape whose shorter side cannot hold the SSIM window."""
+    if _SSIM_WINDOW > min(shape):
+        raise ValueError(f"window {_SSIM_WINDOW} exceeds image side {min(shape)}")
+
+
 def ssim(a: Stimulus, b: Stimulus, dynamic_range: float | None = None) -> float:
     """Mean local structural similarity over valid window positions.
 
@@ -118,9 +125,8 @@ def ssim(a: Stimulus, b: Stimulus, dynamic_range: float | None = None) -> float:
     """
     if a.shape != b.shape:
         raise ValueError("stimulus shapes differ")
+    check_ssim_side(a.shape)
     size = _SSIM_WINDOW
-    if size > min(a.shape):
-        raise ValueError(f"window {size} exceeds image side {min(a.shape)}")
     if dynamic_range is not None:
         value_range = float(dynamic_range)
     else:

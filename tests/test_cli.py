@@ -14,7 +14,7 @@ import tunescope
 from tunescope.bench import TRAJECTORY_VERSION
 from tunescope.cli import _build_parser, main
 from tunescope.measures import MeasureReport
-from tunescope.targets import default_l2_spec, spec_to_json
+from tunescope.targets import default_l1_spec, default_l2_spec, spec_to_json
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -361,6 +361,31 @@ class TestPathsAndSubspace:
         assert len(blob["invariance_fitnesses"]) == 2
 
 
+    def test_task_without_shape_takes_target_input(self, tmp_path, capsys, micro_config):
+        net = tmp_path / "net2"
+        assert main(["gen-net", "--levels", "2", "--seed", "5", "--out", str(net)]) == 0
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({"n_classes": 8}))
+        out = tmp_path / "sub"
+        assert main(["subspace", "--target", str(net), "--unit", "0", "--task", str(task),
+                     "--seed", "3", "--config", micro_config, "--out", str(out)]) == 0
+        assert "invariance_alignment" in json.loads((out / "subspace.json").read_text())
+        assert json.loads((out / "run.json").read_text())["task"] == {"n_classes": 8}
+
+    def test_task_shape_contradicting_target_is_config_error(self, tmp_path, capsys,
+                                                             micro_config):
+        net = tmp_path / "net2"
+        assert main(["gen-net", "--levels", "2", "--seed", "5", "--out", str(net)]) == 0
+        capsys.readouterr()
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({"n_classes": 8, "width": 11}))
+        out = tmp_path / "sub"
+        assert main(["subspace", "--target", str(net), "--unit", "0", "--task", str(task),
+                     "--seed", "3", "--config", micro_config, "--out", str(out)]) == 1
+        assert "task shape (21, 11) != target input (21, 21)" in error_payload(capsys)["message"]
+        assert not out.exists()
+
+
 class TestEncodeAndMeasure:
     def test_encode_emits_reconstruction_pairs(self, tmp_path, capsys,
                                                micro_config, task_file):
@@ -423,6 +448,26 @@ class TestEncodeAndMeasure:
                      "--references", str(count), "--seed", "3",
                      "--config", micro_config, "--out", str(out)]) == 1
         assert f"cannot draw {count} references" in error_payload(capsys)["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["encode", "measure"])
+    def test_side_below_ssim_window_is_config_error(self, tmp_path, capsys, command):
+        # a 3x3 receptive field cannot hold the 11-pixel window that
+        # encoding specificity compares reconstructions through
+        spec = spec_to_json(default_l1_spec())
+        spec["levels"][0].update(kernel_size=3, pool_size=1, n_filters=4)
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        net = tmp_path / "net"
+        assert main(["gen-net", "--spec", str(tmp_path / "spec.json"), "--out", str(net)]) == 0
+        capsys.readouterr()
+        config = tmp_path / "search.json"
+        config.write_text(json.dumps(dict(MICRO_SEARCH, path_budget_per_dim=2)))
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({"n_classes": 2, "samples_per_class": 2}))
+        out = tmp_path / "out"
+        assert main([command, "--target", str(net), "--task", str(task), "--references", "1",
+                     "--seed", "3", "--config", str(config), "--out", str(out)]) == 1
+        assert "window 11 exceeds image side 3" in error_payload(capsys)["message"]
         assert not out.exists()
 
     def test_measure_population_needs_task(self, tmp_path, capsys,
@@ -588,6 +633,24 @@ class TestBench:
         assert main(["bench", "--config", self.write_config(tmp_path, blob),
                      "--out", str(store), "--workers", "1"]) == 1
         assert named in error_payload(capsys)["message"]
+        assert not store.exists()
+
+    def test_study_without_task_shape_takes_network_input(self, tmp_path, capsys):
+        blob = dict(study_blob(n_networks=1), levels=2)
+        del blob["task"]
+        store = tmp_path / "store"
+        assert main(["bench", "--config", self.write_config(tmp_path, blob),
+                     "--out", str(store), "--workers", "1"]) == 0
+        assert "networks: 1" in capsys.readouterr().out
+        assert set(json.loads((store / "run.json").read_text())["task"]) == {"seed"}
+
+    def test_study_task_shape_contradicting_levels_is_config_error(self, tmp_path, capsys):
+        blob = dict(study_blob(n_networks=1), levels=2)
+        blob["task"] = dict(blob["task"], height=11)
+        store = tmp_path / "store"
+        assert main(["bench", "--config", self.write_config(tmp_path, blob),
+                     "--out", str(store), "--workers", "1"]) == 1
+        assert "task shape (11, 21) != network input (21, 21)" in error_payload(capsys)["message"]
         assert not store.exists()
 
     def test_workers_below_one(self, tmp_path, capsys):
