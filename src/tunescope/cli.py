@@ -1,9 +1,11 @@
 """Command-line driver: build targets, characterize them, run studies.
 
 Anything nested (solver budgets, task families, study layouts) lives in
-JSON config files with a documented key schema; flags cover only paths,
-seeds, the resume switch and the work pool.  Every payload a command
-emits is a pure function of (config file, master seed): no timestamps,
+JSON config files with a documented key schema.  Flags cover paths,
+seeds, the resume switch, the work pool and seven scalar settings:
+``--shape``, ``--levels``, ``--unit``, ``--unit-sample``, ``--walks``,
+``--references`` and ``--permutations``.  Every payload a command emits
+is a pure function of (config file, master seed): no timestamps,
 sorted JSON keys, repr'd floats.  Exit codes: 0 success, 1 bad
 configuration, 2 failure while running.  Failures print a single JSON
 object to stderr so callers never have to scrape tracebacks.
