@@ -150,7 +150,7 @@ class TestBudgetAndTrace:
         _, trace = maximize(objective, x0, SolverConfig(max_evaluations=lam + 1))
         assert trace.generations == 1
 
-    @pytest.mark.parametrize("optimizer", [maximize, minimize])
+    @pytest.mark.parametrize("optimizer", [maximize, minimize], ids=["maximize", "minimize"])
     def test_best_fitness_is_objective_at_returned_point(self, optimizer):
         w = np.arange(1.0, 10.0)
         # scored row by row, so a row's value does not depend on its batch
