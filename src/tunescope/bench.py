@@ -12,7 +12,6 @@ natural-image benchmark; only the variation across networks matters.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -586,6 +585,9 @@ def run_study(
                  config.unit_sample, net_dir)
             )
     if config.workers > 1 and jobs:
+        # imported only here: a process that starts no pool skips its memory and import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             list(pool.map(_study_network, *zip(*jobs)))
     else:

@@ -156,7 +156,7 @@ class _Strategy:
         self.pc = np.zeros(n)
         self.ps = np.zeros(n)
         self.cov = np.eye(n)
-        self.factor = np.eye(n)
+        self.factor: np.ndarray | None = None
         self.z = np.zeros((lam, n))
         self.counteval = 0
         self.updated_eval = 0
@@ -177,6 +177,7 @@ class _Strategy:
         self.cov *= self.decay
         self.pending_rows = 0
         self.decay = 1.0
+        self.factor = None
         try:
             self.factor = np.linalg.cholesky(self.cov)
         except np.linalg.LinAlgError as exc:
@@ -186,6 +187,8 @@ class _Strategy:
     def ask(self) -> np.ndarray:
         self._update_eigensystem()
         self.z = self.rng.standard_normal((self.lam, self.n))
+        if self.factor is None:
+            return self.xmean + self.sigma * self.z
         return self.xmean + self.sigma * (self.z @ self.factor.T)
 
     def tell(self, points: np.ndarray, scores: np.ndarray) -> None:
