@@ -245,14 +245,15 @@ class _TargetRun:
 
 
 def _check_budgets(search: SearchConfig, n: int, kinds: tuple[str, ...]) -> None:
-    """Each ``<kind>_budget_per_dim`` must buy one generation at ``n`` inputs."""
-    population = default_population_size(n)
+    """Each ``<kind>_budget_per_dim`` must buy one generation at ``n`` inputs:
+    the start point, then lambda draws."""
+    needed = default_population_size(n) + 1
     for kind in kinds:
         name = f"{kind}_budget_per_dim"
-        if getattr(search, name) * n < population:
+        if getattr(search, name) * n < needed:
             raise ValueError(
                 f"{name} is {getattr(search, name)}; at {n} inputs one generation "
-                f"takes {population} evaluations"
+                f"takes {needed} evaluations with the start point"
             )
 
 
@@ -461,6 +462,8 @@ def _resolve_bench(args):
     base_spec = _DEFAULT_SPECS[study.levels]()
     ranges = from_mapping(HyperRanges, study.ranges, "hyperparameter ranges")
 
+    if not isinstance(study.task, dict):
+        raise ValueError(f"task spec must be a JSON object, got {type(study.task).__name__}")
     task_blob = {"seed": derive_int(seed, "task"), **study.task}
     task = generate_task_stimuli(_task_spec(task_blob, base_spec.input_shape, "network"))
     study_split_seed(task, config)

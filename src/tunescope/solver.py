@@ -9,7 +9,9 @@ feasible by construction.
 
 Samples are drawn through the lower Cholesky factor A of the covariance
 C = A A^T, and the step-size path reads A^-1 of the mean shift as the
-weighted mean of the selected normal draws.  The covariance update is
+weighted mean of the selected normal draws.  C starts as the identity,
+so until the first refresh A is the identity and a sample is the normal
+draw itself, taken without the product.  The covariance update is
 deferred: each generation's rank-one and rank-mu terms are kept as
 low-rank factors (rows of a preallocated buffer, scaled by the discounts
 applied since) and folded into C only when A is refreshed, the one place
@@ -128,8 +130,11 @@ class _Strategy:
     generations told since the last refresh and ``decay`` is the
     product of their discounts.  ``_update_eigensystem``, traced by
     that name, folds them into ``cov`` and refreshes its lower Cholesky
-    ``factor``.  ``tell`` takes the rows of the preceding ``ask``, whose
-    normal draws ``z`` give the step-size path.
+    ``factor``; it drops the old factor first, so two are never held.
+    ``factor`` is None, standing for the identity, until the first
+    refresh, and ``ask`` skips the product with it until then.
+    ``tell`` takes the rows of the preceding ``ask``, whose normal
+    draws ``z`` give the step-size path.
     """
 
     def __init__(self, x0: np.ndarray, sigma: float, lam: int, rng: np.random.Generator):
@@ -243,8 +248,11 @@ class _Run:
         self.search = search
         x0, config = search.x0, search.config
         self.lam = default_population_size(x0.size)
-        if config.max_evaluations < self.lam:
-            raise ValueError("budget smaller than one generation")
+        if config.max_evaluations < self.lam + 1:
+            raise ValueError(
+                f"budget {config.max_evaluations} is smaller than one generation, which takes "
+                f"{self.lam + 1} evaluations with the start point"
+            )
         self.trace = SearchTrace()
         rng = np.random.default_rng(config.seed)
         self.strategy = _Strategy(x0.values, config.initial_step * x0.energy, self.lam, rng)

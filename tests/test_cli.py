@@ -321,9 +321,12 @@ class TestPathsAndSubspace:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, side, budgets, named", [
-        ("paths", "2", {}, "path_budget_per_dim"),
+        ("paths", "2", {"optimal_budget_per_dim": 3}, "path_budget_per_dim"),
         ("characterize", "3", {"optimal_budget_per_dim": 1}, "optimal_budget_per_dim"),
         ("encode", "2", {"reconstruct_budget_per_dim": 1}, "reconstruct_budget_per_dim"),
+        # 8 evaluations are lambda at N = 4, one short of the start point and a generation
+        ("paths", "2", {"optimal_budget_per_dim": 3, "path_budget_per_dim": 2},
+         "path_budget_per_dim"),
     ])
     def test_budget_below_one_generation_is_config_error(self, tmp_path, capsys, command, side,
                                                           budgets, named):
@@ -643,6 +646,26 @@ class TestBench:
                      "--out", str(store), "--workers", "1"]) == 0
         assert "networks: 1" in capsys.readouterr().out
         assert set(json.loads((store / "run.json").read_text())["task"]) == {"seed"}
+
+    @pytest.mark.parametrize("task", [5, [1], None], ids=["int", "list", "null"])
+    def test_study_task_not_an_object_is_config_error(self, tmp_path, capsys, task):
+        blob = dict(study_blob(n_networks=1), task=task)
+        store = tmp_path / "store"
+        assert main(["bench", "--config", self.write_config(tmp_path, blob),
+                     "--out", str(store), "--workers", "1"]) == 1
+        payload = error_payload(capsys)
+        assert payload["type"] == "ValueError"
+        assert payload["message"].startswith("task spec must be a JSON object, got ")
+        assert not store.exists()
+
+    def test_cli_import_loads_no_process_pool(self):
+        """Only a study that starts workers imports the process pool."""
+        src = str(Path(tunescope.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, tunescope.cli; print('concurrent.futures.process' in sys.modules)"
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True, timeout=120, check=True)
+        assert child.stdout.strip() == "False"
 
     def test_study_task_shape_contradicting_levels_is_config_error(self, tmp_path, capsys):
         blob = dict(study_blob(n_networks=1), levels=2)

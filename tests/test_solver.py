@@ -144,8 +144,10 @@ class TestBudgetAndTrace:
         objective = sphere_objective(lambda x: calls.append(len(x)) or x[:, 0], (4, 4))
         x0 = start_point(16, (4, 4), seed=15)
         lam = default_population_size(16)
-        with pytest.raises(ValueError, match="one generation"):
-            maximize(objective, x0, SolverConfig(max_evaluations=lam - 1))
+        # a generation takes lam draws after the start point
+        for budget in (lam - 1, lam):
+            with pytest.raises(ValueError, match=f"one generation, which takes {lam + 1} "):
+                maximize(objective, x0, SolverConfig(max_evaluations=budget))
         assert calls == []  # rejected before the start point is scored
         _, trace = maximize(objective, x0, SolverConfig(max_evaluations=lam + 1))
         assert trace.generations == 1
@@ -370,7 +372,8 @@ class TestCholeskyFactor:
             before = strategy.updated_eval
             xold, sigma = strategy.xmean.copy(), strategy.sigma
             points = strategy.ask()
-            factor = strategy.factor
+            # no factor until the first refresh stands for the identity
+            factor = np.eye(n) if strategy.factor is None else strategy.factor
             if strategy.updated_eval != before:
                 refreshes += 1
                 assert np.array_equal(factor, np.tril(factor))
@@ -384,6 +387,37 @@ class TestCholeskyFactor:
             solved = np.linalg.solve(factor, (strategy.xmean - xold) / sigma)
             assert np.max(np.abs(draws - solved)) <= 1e-9 * max(1.0, np.max(np.abs(solved)))
         assert refreshes >= folds
+
+    def test_no_factor_before_first_refresh(self):
+        """Until the first refresh a sample is the normal draw itself, bit
+        for bit what the product with an identity factor gave."""
+        n = 441
+        strategy = new_strategy(n, default_population_size(n), seed=5)
+        assert strategy.factor is None
+        direction = np.random.default_rng(6).standard_normal(n)
+        generations = 0
+        while True:
+            xmean, sigma = strategy.xmean.copy(), strategy.sigma
+            points = strategy.ask()
+            if strategy.factor is not None:
+                break
+            assert np.array_equal(points, xmean + sigma * strategy.z)
+            assert np.array_equal(points, xmean + sigma * (strategy.z @ np.eye(n).T))
+            strategy.counteval += strategy.lam
+            strategy.tell(points, points @ direction)
+            generations += 1
+        assert generations == int(np.ceil(strategy.lazy_gap_evals / strategy.lam))
+
+    def test_construction_allocates_one_square_matrix(self):
+        n = 441
+        tracemalloc.start()
+        try:
+            strategy = new_strategy(n, default_population_size(n), seed=7)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        square = [trace for trace in snapshot.traces if trace.size == n * n * 8]
+        assert len(square) == 1 and strategy.factor is None  # the one is cov
 
     def test_covariance_not_positive_definite_raises(self):
         n = 16
