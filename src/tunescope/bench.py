@@ -55,7 +55,7 @@ __all__ = [
     "sample_references",
     "sample_pairs",
     "pair_split",
-    "study_split_seed",
+    "study_pair_split",
     "choose_distance_threshold",
     "pair_matching_performance",
     "characterize_unit",
@@ -242,20 +242,17 @@ def pair_split(labels, n_pairs: int, split_seed: int) -> tuple[np.ndarray, ...]:
     return pairs, flags, train, test
 
 
-def study_split_seed(task: StimulusSet, config: BenchConfig) -> int:
-    """The pair-split seed of a study, once its split is known to work."""
-    split_seed = derive_int(config.seed, "pairs")
-    pair_split(task.labels, config.n_pairs, split_seed)
-    return split_seed
+def study_pair_split(task: StimulusSet, config: BenchConfig) -> tuple[np.ndarray, ...]:
+    """The one pair split that scores every network of a study."""
+    return pair_split(task.labels, config.n_pairs, derive_int(config.seed, "pairs"))
 
 
-def pair_matching_performance(
-    target: TargetHandle, task: StimulusSet, n_pairs: int = 200, split_seed: int = 0
-) -> float:
-    """Threshold chosen on the train half, accuracy from the test half."""
+def pair_matching_performance(target: TargetHandle, task: StimulusSet, split) -> float:
+    """Threshold chosen on the train half, accuracy from the test half;
+    ``split`` is ``pair_split``'s (pairs, flags, train, test) for ``task``."""
     if task.shape != target.input_shape:
         raise ValueError(f"task shape {task.shape} != target {target.input_shape}")
-    pairs, flags, train, test = pair_split(task.labels, n_pairs, split_seed)
+    pairs, flags, train, test = split
     responses = target.batch(task.matrix())
     distances = np.linalg.norm(
         responses[pairs[:, 0]] - responses[pairs[:, 1]], axis=1
@@ -486,12 +483,11 @@ def _study_network(
     task: StimulusSet,
     references: StimulusSet,
     search_config: SearchConfig,
-    n_pairs: int,
-    split_seed: int,
+    split: tuple[np.ndarray, ...],
     unit_sample: int,
     net_dir: Path,
 ) -> None:
-    performance = pair_matching_performance(target, task, n_pairs, split_seed)
+    performance = pair_matching_performance(target, task, split)
     report, artifacts = characterize_population(
         target, task, references, search_config, unit_sample
     )
@@ -566,7 +562,7 @@ def run_study(
     """
     if not population:
         raise ValueError("empty population")
-    split_seed = study_split_seed(task, config)
+    split = study_pair_split(task, config)
     store = Path(config.store_dir)
     fingerprint = _study_fingerprint(population, task, references, config)
     fp_path = store / "study_config.json"
@@ -581,8 +577,7 @@ def run_study(
         if _load_network(net_dir) is None:
             search_config = replace(config.search, seed=derive_int(config.seed, "network", index))
             jobs.append(
-                (target, task, references, search_config, config.n_pairs, split_seed,
-                 config.unit_sample, net_dir)
+                (target, task, references, search_config, split, config.unit_sample, net_dir)
             )
     if config.workers > 1 and jobs:
         # imported only here: a process that starts no pool skips its memory and import time

@@ -37,7 +37,7 @@ from .bench import (
     read_study_config,
     run_study,
     sample_references,
-    study_split_seed,
+    study_pair_split,
 )
 from .errors import check_fields, from_mapping
 from .measures import (
@@ -466,7 +466,7 @@ def _resolve_bench(args):
         raise ValueError(f"task spec must be a JSON object, got {type(study.task).__name__}")
     task_blob = {"seed": derive_int(seed, "task"), **study.task}
     task = generate_task_stimuli(_task_spec(task_blob, base_spec.input_shape, "network"))
-    study_split_seed(task, config)
+    study_pair_split(task, config)
 
     population, manifest = sample_network_population(
         base_spec, study.n_networks, ranges, seed=derive_int(seed, "networks")

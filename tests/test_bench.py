@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tunescope import bench
 from tunescope.bench import (
     BenchConfig,
     FIG9_ROWS,
@@ -17,6 +18,7 @@ from tunescope.bench import (
     correlation_table,
     generate_task_stimuli,
     pair_matching_performance,
+    pair_split,
     run_study,
     sample_pairs,
     sample_references,
@@ -32,7 +34,7 @@ from tunescope.search import (
     subspace_sample,
 )
 from tunescope.solver import default_population_size
-from tunescope.seeds import derive_rng
+from tunescope.seeds import derive_int, derive_rng
 from tunescope.stats import multiple_r2, pearson, spearman
 from tunescope.stimulus import Stimulus, project_sphere, read_stimulus_csv
 from tunescope.targets import (
@@ -155,7 +157,7 @@ class TestPairMatching:
             return out
 
         target = TargetHandle(11, 11, 4, one_hot, name="one-hot")
-        assert pair_matching_performance(target, task, 200, split_seed=5) == 1.0
+        assert pair_matching_performance(target, task, pair_split(task.labels, 200, 5)) == 1.0
 
     def test_input_independent_noise_is_chance(self):
         task = small_task()
@@ -165,19 +167,20 @@ class TestPairMatching:
             return rng.standard_normal((matrix.shape[0], 8))
 
         target = TargetHandle(11, 11, 8, noise, name="noise")
-        accuracy = pair_matching_performance(target, task, 200, split_seed=5)
+        accuracy = pair_matching_performance(target, task, pair_split(task.labels, 200, 5))
         assert abs(accuracy - 0.5) <= 0.1
 
     def test_identity_with_frozen_classes_is_perfect(self):
         task = small_task(phase_jitter=0.0, position_jitter=0.0)
         identity = TargetHandle(11, 11, 121, lambda m: np.array(m), name="identity")
-        assert pair_matching_performance(identity, task, 100, split_seed=5) == 1.0
+        assert pair_matching_performance(identity, task, pair_split(task.labels, 100, 5)) == 1.0
 
     def test_threshold_is_pure_function_of_train_half(self):
         task = small_task()
         identity = TargetHandle(11, 11, 121, lambda m: np.array(m), name="identity")
         n_pairs, split_seed = 120, 17
-        accuracy = pair_matching_performance(identity, task, n_pairs, split_seed)
+        split = pair_split(task.labels, n_pairs, split_seed)
+        accuracy = pair_matching_performance(identity, task, split)
 
         # replay the seeded sampling that the implementation commits to
         rng = derive_rng(split_seed, "pairs")
@@ -209,21 +212,19 @@ class TestPairMatching:
     def test_unlabelled_task_rejected(self):
         task = small_task()
         bare = type(task)(items=task.items)
-        identity = TargetHandle(11, 11, 121, lambda m: np.array(m), name="identity")
         with pytest.raises(ValueError):
-            pair_matching_performance(identity, bare, 100)
+            pair_split(bare.labels, 100, 0)
 
     def test_shape_mismatch_rejected(self):
         task = small_task()
         tiny = linear_target(n=16)
         with pytest.raises(ValueError):
-            pair_matching_performance(tiny, task, 100)
+            pair_matching_performance(tiny, task, pair_split(task.labels, 100, 0))
 
     def test_tiny_split_degenerates(self):
         task = small_task()
-        identity = TargetHandle(11, 11, 121, lambda m: np.array(m), name="identity")
         with pytest.raises(DegenerateSplitError):
-            pair_matching_performance(identity, task, 2, split_seed=0)
+            pair_split(task.labels, 2, 0)
 
 
 class TestCharacterizeUnit:
@@ -399,6 +400,21 @@ class TestRunStudy:
                       BenchConfig(seed=1, search=MICRO, n_pairs=2, unit_sample=1,
                                   store_dir=str(store)))
         assert not store.exists()
+
+    def test_pair_split_drawn_once_per_study(self, tmp_path, monkeypatch):
+        calls = []
+        draw = bench.pair_split
+
+        def counted(*args):
+            calls.append(args[1:])
+            return draw(*args)
+
+        monkeypatch.setattr(bench, "pair_split", counted)
+        targets, task, refs = study_fixtures(2)
+        run_study(targets, task, refs,
+                  BenchConfig(seed=1, search=MICRO, n_pairs=60, unit_sample=1,
+                              store_dir=str(tmp_path / "store")))
+        assert calls == [(60, derive_int(1, "pairs"))]
 
     def test_smoke_emits_all_measure_columns(self, tmp_path):
         targets, task, refs = study_fixtures(2)
