@@ -556,9 +556,11 @@ def run_study(
     stage needs ``MIN_NETWORKS_FOR_TABLE`` networks and is skipped below
     that (smoke runs still emit the measure table and ``summary.json``).
 
-    With ``workers`` above 1, each pending network's handle is pickled to
-    a worker process, which studies that very handle; every built-in
-    handle pickles, and a custom handle that does not fails there.
+    With ``workers`` above 1 and more than one pending network, each
+    pending network's handle is pickled to a worker process, which
+    studies that very handle; every built-in handle pickles, and a custom
+    handle that does not fails there.  The pool gets at most one worker
+    per pending network, and a lone pending network runs in-process.
     """
     if not population:
         raise ValueError("empty population")
@@ -579,11 +581,13 @@ def run_study(
             jobs.append(
                 (target, task, references, search_config, split, config.unit_sample, net_dir)
             )
-    if config.workers > 1 and jobs:
+    # the pool starts all its workers at once, so it gets no more than there are jobs
+    workers = min(config.workers, len(jobs))
+    if workers > 1:
         # imported only here: a process that starts no pool skips its memory and import time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             list(pool.map(_study_network, *zip(*jobs)))
     else:
         for job in jobs:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from dataclasses import replace
 
@@ -632,6 +633,34 @@ class TestRunStudy:
         assert (sequential / "measures.csv").read_bytes() == (
             parallel / "measures.csv"
         ).read_bytes()
+
+    def test_worker_pool_gets_one_worker_per_pending_network(self, tmp_path, monkeypatch):
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        targets, task, refs = study_fixtures(2)
+        store = tmp_path / "store"
+        config = BenchConfig(seed=1, search=MICRO, n_pairs=60, unit_sample=1,
+                             store_dir=str(store), workers=4)
+        run_study(targets, task, refs, config)
+        assert pools == [2]
+        (store / "network_001" / "report.json").unlink()
+        run_study(targets, task, refs, config)
+        assert pools == [2]
+        assert (store / "network_001" / "report.json").exists()
 
     def test_worker_pool_studies_the_views_it_is_sent(self, tmp_path):
         network = sthor_network(default_l1_spec(weight_seed=34))
