@@ -189,6 +189,14 @@ class LevelSpec:
         bounds = tuple(self.clip_bounds)
         if len(bounds) != 2 or not all(map(is_finite_real, bounds)) or bounds[0] >= bounds[1]:
             raise ValueError(f"clip_bounds is {bounds!r}; it must be two finite reals, low < high")
+        # a fractional power of a negative activation is NaN
+        signed = self.activation == "identity" or (self.activation == "clipped" and bounds[0] < 0)
+        if signed and not float(self.pool_exponent).is_integer():
+            raise ValueError(
+                f"pool_exponent {self.pool_exponent!r} is not an integer, so activation "
+                f"{self.activation!r} must not go below 0: use halfwave, or clipped with a "
+                f"low clip bound >= 0 (clip_bounds is {bounds!r})"
+            )
 
 
 @dataclass(frozen=True)
