@@ -14,7 +14,7 @@ import tunescope
 from tunescope.bench import TRAJECTORY_VERSION
 from tunescope.cli import _build_parser, main
 from tunescope.measures import MeasureReport
-from tunescope.targets import default_l1_spec, default_l2_spec, spec_to_json
+from tunescope.targets import LevelSpec, default_l1_spec, default_l2_spec, spec_to_json
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -181,6 +181,36 @@ class TestGenNet:
         assert main(["gen-net", "--spec", str(spec_path), "--out", str(out)]) == 1
         error = error_payload(capsys)
         assert error["type"] == "ValueError" and key in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides", [{"activation": "identity"},
+                                           {"activation": "clipped", "clip_bounds": [-1.0, 1.0]}],
+                             ids=["identity", "clipped-signed"])
+    def test_fractional_pool_exponent_on_signed_activation_is_config_error(
+        self, tmp_path, capsys, overrides
+    ):
+        # 1.5 is finite and above 0, but x ** 1.5 is NaN wherever x < 0
+        level = dict(kernel_size=3, n_filters=2, pool_exponent=1.5, **overrides)
+        with pytest.raises(ValueError, match="pool_exponent 1.5 .* activation"):
+            LevelSpec(**level)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"levels": [level]}))
+        out = tmp_path / "net"
+        assert main(["gen-net", "--spec", str(spec_path), "--out", str(out)]) == 1
+        error = error_payload(capsys)
+        assert error["type"] == "ValueError"
+        assert "pool_exponent" in error["message"] and "activation" in error["message"]
+        assert not out.exists()
+
+    def test_even_kernel_is_geometry_error(self, tmp_path, capsys):
+        spec = spec_to_json(default_l1_spec())
+        spec["levels"][0]["kernel_size"] = 4
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "net"
+        assert main(["gen-net", "--spec", str(spec_path), "--out", str(out)]) == 1
+        error = error_payload(capsys)
+        assert error["type"] == "GeometryError" and "kernel size 4" in error["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("blob", [{}, [], {"levels": None}],

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tunescope import targets as targets_module
+from tunescope.errors import GeometryError
 from tunescope.stimulus import Stimulus, project_cone_batch, project_sphere
 from tunescope.targets import (
     HyperRanges,
@@ -210,6 +211,34 @@ class TestSthorNetwork:
     def test_zero_pool_exponent_rejected(self):
         with pytest.raises(ValueError, match="pool_exponent"):
             LevelSpec(kernel_size=7, n_filters=1, pool_size=5, pool_exponent=0)
+
+    @pytest.mark.parametrize("overrides", [dict(activation="halfwave", pool_exponent=1.5),
+                                           dict(activation="clipped", pool_exponent=1.5),
+                                           dict(activation="identity", pool_exponent=3.0),
+                                           dict(activation="clipped", clip_bounds=(-1.0, 1.0),
+                                                pool_exponent=10.0)],
+                             ids=["halfwave-1.5", "clipped-1.5", "identity-3", "clipped-signed-10"])
+    def test_accepted_pool_exponent_gives_finite_responses(self, overrides):
+        spec = SthorSpec(levels=(LevelSpec(kernel_size=3, n_filters=2, **overrides),), weight_seed=2)
+        target = sthor_network(spec)
+        responses = target.batch(np.random.default_rng(3).standard_normal((20, target.size)))
+        assert np.all(np.isfinite(responses))
+
+    def test_even_kernel_size_is_geometry_error(self):
+        with pytest.raises(GeometryError, match="kernel size 4 must be odd"):
+            LevelSpec(kernel_size=4, n_filters=1)
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_level_count_outside_one_or_two_is_geometry_error(self, count):
+        level = LevelSpec(kernel_size=3, n_filters=1)
+        with pytest.raises(GeometryError, match=f"{count} levels unsupported"):
+            SthorSpec(levels=(level,) * count)
+
+    def test_wrong_kernel_shape_is_geometry_error(self):
+        spec = default_l1_spec(weight_seed=1)
+        kernel = draw_kernels(spec)[0]
+        with pytest.raises(GeometryError, match="kernel shape"):
+            sthor_network(spec, kernels=[kernel[:, :, :-1, :-1]])
 
     def test_negative_weight_seed_rejected(self):
         level = LevelSpec(kernel_size=7, n_filters=1, pool_size=5, pool_stride=1)
