@@ -250,6 +250,28 @@ def run_plans(plans: list[Plan]) -> list:
     return results
 
 
+def _seeded_searches(
+    objective: ProjectedObjective, config: SearchConfig, label: str, runs: int, budget: int
+) -> tuple[list[Search], list[tuple[float, int]]]:
+    """``runs`` sphere searches at ``optimal_sigma0``, run i started from
+    the seeding drawn from stream (``label``, i, "init") and solved with
+    seed (``label``, i, "solver"); also each seeding's best fitness and
+    evaluation count."""
+    searches = []
+    seedings = []
+    for run in range(runs):
+        init_rng = derive_rng(config.seed, label, run, "init")
+        x0, init_fitness, init_evals = seeded_init(
+            objective, config.seed_candidates, config.alpha_set, init_rng
+        )
+        seedings.append((init_fitness, init_evals))
+        solver_config = _solver_config(
+            config, budget, config.optimal_sigma0, derive_seed(config.seed, label, run, "solver")
+        )
+        searches.append(Search(objective, x0, solver_config))
+    return searches, seedings
+
+
 def optimal_plan(target: TargetHandle, config: SearchConfig) -> Plan:
     """Plan of ``optimal_stimulus``: the seedings, then one round of
     ``optimal_runs`` searches."""
@@ -257,18 +279,7 @@ def optimal_plan(target: TargetHandle, config: SearchConfig) -> Plan:
         raise ValueError("optimal stimulus search needs a scalar target")
     objective = sphere_search_objective(target, 1.0)
     budget = config.optimal_budget_per_dim * target.size
-    searches = []
-    seedings = []
-    for run in range(config.optimal_runs):
-        init_rng = derive_rng(config.seed, "optimal", run, "init")
-        x0, init_fitness, init_evals = seeded_init(
-            objective, config.seed_candidates, config.alpha_set, init_rng
-        )
-        seedings.append((init_fitness, init_evals))
-        solver_config = _solver_config(
-            config, budget, config.optimal_sigma0, derive_seed(config.seed, "optimal", run, "solver")
-        )
-        searches.append(Search(objective, x0, solver_config))
+    searches, seedings = _seeded_searches(objective, config, "optimal", config.optimal_runs, budget)
     outcomes = yield searches
 
     best = None
@@ -382,17 +393,7 @@ def reconstruct_plan(target: TargetHandle, x_star: Stimulus, config: SearchConfi
     seedings run, then one round of ``reconstruct_runs`` searches."""
     objective = sphere_search_objective(match_fitness(target, target.evaluate(x_star)), 1.0)
     budget = config.reconstruct_budget_per_dim * target.size
-    searches = []
-    for i in range(config.reconstruct_runs):
-        init_rng = derive_rng(config.seed, "reconstruct", i, "init")
-        x0, _, _ = seeded_init(objective, config.seed_candidates, config.alpha_set, init_rng)
-        solver_config = _solver_config(
-            config,
-            budget,
-            config.optimal_sigma0,
-            derive_seed(config.seed, "reconstruct", i, "solver"),
-        )
-        searches.append(Search(objective, x0, solver_config))
+    searches, _ = _seeded_searches(objective, config, "reconstruct", config.reconstruct_runs, budget)
     outcomes = yield searches
     return ReconstructionSet(
         reference=x_star,
