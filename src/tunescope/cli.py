@@ -584,7 +584,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--seed", type=int, default=None)
     ben.add_argument("--resume", action="store_true",
                      help="continue into a non-empty store")
-    ben.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    ben.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                     help="worker processes, at most one per pending network")
 
     rep = subparsers.add_parser("report", help="correlation table from a store")
     rep.set_defaults(resolve=_resolve_report)
