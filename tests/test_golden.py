@@ -1,14 +1,16 @@
 """Golden artifact bytes.
 
 Pins the sha256 of every file that a tiny run of the command line
-writes: a one-level cascade from ``gen-net``; ``characterize``,
-``paths`` and ``subspace`` on one of its units; ``encode`` of two
-references through the whole cascade; a ten-network ``bench`` store
-(so the correlation stage runs); ``measure`` under both the unit and the
-population protocol; a ``report`` re-read of that store; and a
-two-level cascade with ``characterize`` on one of its units, with no
-task because the task above is 11x11.  Budgets are cut to a few
-generations per search so the whole run takes seconds.
+writes: a one-level cascade from ``gen-net``; ``characterize`` on four
+of its units, with and without a task (the ``paths``, ``subspace`` and
+``measure_unit`` directories keep the names of the unit commands that
+``characterize`` replaced, so their hashes keep their keys); ``encode``
+of two references through the whole cascade; a ten-network ``bench``
+store (so the correlation stage runs); population ``measure``; a
+``report`` re-read of that store; and a two-level cascade with
+``characterize`` on one of its units, with no task because the task
+above is 11x11.  Budgets are cut to a few generations per search so the
+whole run takes seconds.
 
 Float bytes depend on the numpy and BLAS build, so ``golden_sha256.json``
 records the build beside the hashes.  On any other build this test
@@ -58,14 +60,14 @@ COMMANDS = (
     ["gen-net", "--levels", "1", "--seed", "5", "--out", "out/net"],
     ["characterize", "--target", "out/net", "--unit", "0", "--task", "task.json",
      "--seed", "3", "--config", "search.json", "--walks", "2", "--out", "out/char"],
-    ["paths", "--target", "out/net", "--unit", "1", "--seed", "3",
+    ["characterize", "--target", "out/net", "--unit", "1", "--seed", "3",
      "--config", "search.json", "--walks", "2", "--out", "out/paths"],
-    ["subspace", "--target", "out/net", "--unit", "2", "--task", "task.json",
+    ["characterize", "--target", "out/net", "--unit", "2", "--task", "task.json",
      "--seed", "3", "--config", "search.json", "--out", "out/subspace"],
     ["encode", "--target", "out/net", "--task", "task.json", "--references", "2",
      "--seed", "3", "--config", "search.json", "--out", "out/encode"],
     ["bench", "--config", "study.json", "--out", "out/store", "--workers", "1"],
-    ["measure", "--target", "out/net", "--unit", "3", "--task", "task.json",
+    ["characterize", "--target", "out/net", "--unit", "3", "--task", "task.json",
      "--seed", "3", "--config", "search.json", "--out", "out/measure_unit"],
     ["measure", "--target", "out/net", "--task", "task.json", "--references", "2",
      "--unit-sample", "1", "--seed", "3", "--config", "search.json",
