@@ -18,15 +18,17 @@ same function.
 from __future__ import annotations
 
 import hashlib
+import io
 import struct
 from dataclasses import asdict, dataclass, replace
 from functools import partial
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .artifacts import write_artifact
-from .errors import GeometryError, check_fields, from_mapping, is_finite_real
+from .errors import GeometryError, NonFiniteError, check_fields, from_mapping, is_finite_real
 from .seeds import derive_int, derive_rng
 from .stimulus import Stimulus
 
@@ -384,11 +386,15 @@ def sthor_network(spec: SthorSpec, kernels: list[np.ndarray] | None = None) -> T
         kernels = draw_kernels(spec)
     else:
         kernels = [np.asarray(k, dtype=np.float64) for k in kernels]
+        if len(kernels) != len(spec.levels):
+            raise GeometryError(f"{len(kernels)} kernels for {len(spec.levels)} levels")
         n_in = 1
         for level, w in zip(spec.levels, kernels):
             expected = (level.n_filters, n_in, level.kernel_size, level.kernel_size)
             if w.shape != expected:
                 raise GeometryError(f"kernel shape {w.shape} != {expected}")
+            if not np.isfinite(w).all():
+                raise NonFiniteError(f"kernel of shape {w.shape} holds non-finite values")
             n_in = level.n_filters
     w_mats = [w.reshape(w.shape[0], -1).copy() for w in kernels]
     norm_geometries = [
@@ -586,17 +592,27 @@ def write_network_weights(kernels: list[np.ndarray], path) -> None:
 
 
 def read_network_weights(path) -> list[np.ndarray]:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _WEIGHTS_MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        version, n_levels = struct.unpack("<II", fh.read(8))
-        if version != _WEIGHTS_VERSION:
-            raise ValueError(f"unsupported version {version}")
-        kernels = []
-        for _ in range(n_levels):
-            shape = struct.unpack("<IIII", fh.read(16))
-            count = int(np.prod(shape))
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-            kernels.append(data.astype(np.float64))
+    """The kernels ``write_network_weights`` wrote; a file that ends early
+    or holds bytes after its last level is refused."""
+    fh = io.BytesIO(Path(path).read_bytes())
+
+    def read(size: int) -> bytes:
+        chunk = fh.read(size)
+        if len(chunk) != size:
+            raise ValueError(f"{path}: ends {size - len(chunk)} bytes short of its last level")
+        return chunk
+
+    magic = read(8)
+    if magic != _WEIGHTS_MAGIC:
+        raise ValueError(f"{path}: bad magic {magic!r}")
+    version, n_levels = struct.unpack("<II", read(8))
+    if version != _WEIGHTS_VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    kernels = []
+    for _ in range(n_levels):
+        shape = struct.unpack("<IIII", read(16))
+        data = np.frombuffer(read(int(np.prod(shape)) * 8), dtype="<f8")
+        kernels.append(data.reshape(shape).astype(np.float64))
+    if fh.read(1):
+        raise ValueError(f"{path}: holds bytes after its last level")
     return kernels

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tunescope import targets as targets_module
-from tunescope.errors import GeometryError
+from tunescope.errors import GeometryError, NonFiniteError
 from tunescope.stimulus import Stimulus, project_cone_batch, project_sphere
 from tunescope.targets import (
     HyperRanges,
@@ -239,6 +239,21 @@ class TestSthorNetwork:
         kernel = draw_kernels(spec)[0]
         with pytest.raises(GeometryError, match="kernel shape"):
             sthor_network(spec, kernels=[kernel[:, :, :-1, :-1]])
+
+    def test_kernel_count_other_than_level_count_is_geometry_error(self):
+        spec = default_l2_spec(weight_seed=1)
+        kernels = draw_kernels(spec)
+        for given in (kernels[:1], kernels + [kernels[1]]):
+            with pytest.raises(GeometryError, match=f"{len(given)} kernels for 2 levels"):
+                sthor_network(spec, kernels=given)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_kernel_is_refused(self, value):
+        spec = default_l2_spec(weight_seed=1)
+        kernels = draw_kernels(spec)
+        kernels[1][3, 7, 0, 2] = value
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            sthor_network(spec, kernels=kernels)
 
     def test_negative_weight_seed_rejected(self):
         level = LevelSpec(kernel_size=7, n_filters=1, pool_size=5, pool_stride=1)
@@ -534,6 +549,20 @@ class TestSerialization:
             bad = tmp_path / "bad.bin"
             bad.write_bytes(b"NOTMAGIC" + raw[8:])
             read_network_weights(bad)
+
+    def test_weights_of_wrong_length_name_the_file(self, tmp_path):
+        path = tmp_path / "weights.bin"
+        write_network_weights(draw_kernels(default_l2_spec(weight_seed=27)), path)
+        raw = path.read_bytes()
+        for name, damaged, error in [
+            ("short.bin", raw[:-8], "ends 8 bytes short"),
+            ("long.bin", raw + bytes(8), "holds bytes after its last level"),
+        ]:
+            bad = tmp_path / name
+            bad.write_bytes(damaged)
+            with pytest.raises(ValueError, match=error) as info:
+                read_network_weights(bad)
+            assert str(bad) in str(info.value)
 
     def test_rebuilt_network_matches(self, tmp_path):
         spec = default_l1_spec(weight_seed=28)
