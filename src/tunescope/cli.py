@@ -50,14 +50,7 @@ from .measures import (
     subspace_capacity,
     write_fd_csv,
 )
-from .search import (
-    SearchConfig,
-    encode_plans,
-    optimal_stimulus,
-    random_walk_curve,
-    run_plans,
-    subspace_plan,
-)
+from .search import SearchConfig, encode_plans, random_walk_curve, run_plans
 from .seeds import derive_int, derive_rng
 from .solver import default_population_size
 from .stimulus import Stimulus, StimulusSet, project_sphere, write_stimulus_csv
@@ -181,12 +174,6 @@ def _write_stimulus(stimulus: Stimulus, stem: Path) -> None:
     write_stimulus_pgm(stimulus, stem.with_suffix(".pgm"))
 
 
-def _write_optimal(out: Path, optimal) -> None:
-    _write_stimulus(optimal.x_hat, out / "x_hat")
-    write_json(out / "optimal.json", {"fitness": optimal.fitness,
-                                      "run_records": list(optimal.run_records)})
-
-
 def _print_report(report: MeasureReport) -> None:
     for name, value in report.as_dict().items():
         if value is not None:
@@ -234,7 +221,7 @@ def _gen_net(spec, out: Path) -> None:
 
 @dataclass(frozen=True)
 class _TargetRun:
-    """The resolved inputs that the five target commands share."""
+    """The resolved inputs that the three target commands share."""
 
     out: Path
     seed: int
@@ -257,9 +244,9 @@ def _check_budgets(search: SearchConfig, n: int, kinds: tuple[str, ...]) -> None
             )
 
 
-def _resolve_target(args, scalar: bool, budgets: tuple[str, ...]) -> _TargetRun:
-    """Load target, task and search; a ``scalar`` command needs one output,
-    and each budget kind the command runs must buy one generation."""
+def _resolve_target(args, budgets: tuple[str, ...]) -> _TargetRun:
+    """Load target, task and search; each budget kind the command runs
+    must buy one generation."""
     seed = _master_seed(args)
     blob = _load_json(_require_path(args.config, "solver config")) if args.config else {}
     search = replace(_search_from(blob), seed=seed)
@@ -269,8 +256,6 @@ def _resolve_target(args, scalar: bool, budgets: tuple[str, ...]) -> _TargetRun:
     unit = getattr(args, "unit", None)
     if unit is not None:
         target = unit_view(target, unit)
-    elif scalar and target.response_dim != 1:
-        raise ValueError(f"target has {target.response_dim} outputs; pick one with --unit")
     run_json = {
         "subcommand": args.subcommand,
         "seed": seed,
@@ -282,28 +267,39 @@ def _resolve_target(args, scalar: bool, budgets: tuple[str, ...]) -> _TargetRun:
     return _TargetRun(Path(args.out), seed, search, target, task, run_json)
 
 
-def _walk_count(args) -> int:
-    if args.walks < 0:
-        raise ValueError(f"--walks is {args.walks}; it must be at least 0")
-    return args.walks
-
-
 def _references(run: _TargetRun, count: int) -> StimulusSet:
     return sample_references(run.task, count, seed=derive_int(run.seed, "references"))
 
 
-def _emit_paths(run: _TargetRun, optimal, paths, n_walks: int) -> None:
+# the budget kinds of a unit protocol: the optimum, then the cone searches
+_UNIT_BUDGETS = ("optimal", "path")
+
+
+def _resolve_characterize(args):
+    run = _resolve_target(args, _UNIT_BUDGETS)
+    if run.target.response_dim != 1:
+        raise ValueError(f"target has {run.target.response_dim} outputs; pick one with --unit")
+    if args.walks < 0:
+        raise ValueError(f"--walks is {args.walks}; it must be at least 0")
+    return partial(_characterize, run, args.walks)
+
+
+def _characterize(run: _TargetRun, n_walks: int) -> None:
+    """The unit protocol: the optimum, both cone paths and both subspaces."""
+    report, artifacts = characterize_unit(
+        run.target, run.search, task=run.task, with_subspace=True
+    )
+    optimal, paths, samples = artifacts["optimal"], artifacts["paths"], artifacts["subspace"]
     walks = None
     if n_walks:
         rng = derive_rng(run.seed, "cli", "walks")
         walks = random_walk_curve(run.target, optimal.x_hat, run.search.deltas, n_walks, rng)
-    _write_optimal(run.out, optimal)
+    _write_stimulus(optimal.x_hat, run.out / "x_hat")
+    write_json(run.out / "optimal.json", {"fitness": optimal.fitness,
+                                          "run_records": list(optimal.run_records)})
     write_fd_csv(build_fd_diagram(paths, walks), run.out / "fd.csv")
     for path in paths:
         _write_matrix_csv(run.out / f"path_{path.kind}.csv", path.points)
-
-
-def _emit_subspace(run: _TargetRun, samples: dict) -> None:
     blob = {"delta": run.search.subspace_delta}
     for kind, sample in samples.items():
         _write_matrix_csv(run.out / f"subspace_{kind}.csv", sample.columns)
@@ -314,60 +310,14 @@ def _emit_subspace(run: _TargetRun, samples: dict) -> None:
             raw, normalized = subspace_alignment(sample, run.task)
             blob[f"{kind}_alignment"] = {"raw": raw, "normalized": normalized}
     write_json(run.out / "subspace.json", blob)
-
-
-# the budget kinds of a unit protocol: the optimum, then the cone searches
-_UNIT_BUDGETS = ("optimal", "path")
-
-
-def _resolve_characterize(args):
-    return partial(_characterize, _resolve_target(args, True, _UNIT_BUDGETS), _walk_count(args))
-
-
-def _characterize(run: _TargetRun, walks: int) -> None:
-    report, artifacts = characterize_unit(
-        run.target, run.search, task=run.task, with_subspace=True
-    )
-    optimal = artifacts["optimal"]
-    _emit_paths(run, optimal, artifacts["paths"], walks)
-    _emit_subspace(run, artifacts["subspace"])
     write_json(run.out / "report.json", report_to_json(report))
     write_json(run.out / "run.json", run.run_json)
     print(f"optimum_fitness: {optimal.fitness!r}")
     _print_report(report)
 
 
-def _resolve_paths(args):
-    return partial(_paths, _resolve_target(args, True, _UNIT_BUDGETS), _walk_count(args))
-
-
-def _paths(run: _TargetRun, walks: int) -> None:
-    _, artifacts = characterize_unit(run.target, run.search)
-    optimal = artifacts["optimal"]
-    _emit_paths(run, optimal, artifacts["paths"], walks)
-    write_json(run.out / "run.json", run.run_json)
-    print(f"optimum_fitness: {optimal.fitness!r}")
-    print(f"fd: {run.out / 'fd.csv'}")
-
-
-def _resolve_subspace(args):
-    return partial(_subspace, _resolve_target(args, True, _UNIT_BUDGETS))
-
-
-def _subspace(run: _TargetRun) -> None:
-    optimal = optimal_stimulus(run.target, run.search)
-    kinds = ("invariance", "selectivity")
-    plans = [subspace_plan(run.target, optimal.x_hat, run.search, kind) for kind in kinds]
-    samples = dict(zip(kinds, run_plans(plans)))
-    _write_optimal(run.out, optimal)
-    _emit_subspace(run, samples)
-    write_json(run.out / "run.json", run.run_json)
-    print(f"optimum_fitness: {optimal.fitness!r}")
-    print(f"capacity: {subspace_capacity(samples['invariance'])!r}")
-
-
 def _resolve_encode(args):
-    run = _resolve_target(args, False, ("reconstruct",))
+    run = _resolve_target(args, ("reconstruct",))
     check_ssim_side(run.target.input_shape)
     return partial(_encode, run, _references(run, args.references))
 
@@ -391,32 +341,24 @@ def _encode(run: _TargetRun, references: StimulusSet) -> None:
 
 
 def _resolve_measure(args):
-    run = _resolve_target(args, False, _UNIT_BUDGETS)
+    run = _resolve_target(args, (*_UNIT_BUDGETS, "reconstruct"))
+    if run.target.response_dim == 1:
+        raise ValueError(
+            "target has 1 output; measure runs the population protocol, "
+            "and characterize measures one unit"
+        )
     if args.unit_sample < 1:
         raise ValueError(f"--unit-sample is {args.unit_sample}; it must be at least 1")
-    references = None
-    if run.target.response_dim != 1:
-        if run.task is None:
-            raise ValueError("population-level measure needs --task")
-        _check_budgets(run.search, run.target.size, ("reconstruct",))
-        check_ssim_side(run.target.input_shape)
-        references = _references(run, args.references)
-    return partial(_measure, run, references, args.unit_sample)
+    check_ssim_side(run.target.input_shape)
+    return partial(_measure, run, _references(run, args.references), args.unit_sample)
 
 
-def _measure(run: _TargetRun, references: StimulusSet | None, unit_sample: int) -> None:
-    """Full MeasureReport for one target: unit or population protocol."""
-    if run.target.response_dim == 1:
-        report, artifacts = characterize_unit(
-            run.target, run.search, task=run.task, with_subspace=True
-        )
-        x_hat = artifacts["optimal"].x_hat
-    else:
-        report, artifacts = characterize_population(
-            run.target, run.task, references, run.search, unit_sample=unit_sample
-        )
-        x_hat = artifacts["x_hat"]
-    _write_stimulus(x_hat, run.out / "x_hat")
+def _measure(run: _TargetRun, references: StimulusSet, unit_sample: int) -> None:
+    """Full MeasureReport for one network under the population protocol."""
+    report, artifacts = characterize_population(
+        run.target, run.task, references, run.search, unit_sample=unit_sample
+    )
+    _write_stimulus(artifacts["x_hat"], run.out / "x_hat")
     write_json(run.out / "report.json", report_to_json(report))
     write_json(run.out / "run.json", run.run_json)
     _print_report(report)
@@ -522,15 +464,13 @@ def _report(store: Path, out: Path, seed: int, permutations: int) -> None:
 # parser and entry point
 
 
-def _add_target_flags(sub, resolve, with_unit=True):
+def _add_target_flags(sub, resolve, task_required):
     sub.set_defaults(resolve=resolve)
     sub.add_argument("--target", required=True,
                      help="builtin name (linear, quadratic) or manifest path")
     sub.add_argument("--shape", type=int, default=11,
                      help="side length for builtin targets")
-    if with_unit:
-        sub.add_argument("--unit", type=int, default=None,
-                         help="output unit index for multi-output targets")
+    sub.add_argument("--task", required=task_required, default=None, help="task spec JSON")
     sub.add_argument("--config", default=None, help="solver config JSON")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", required=True)
@@ -542,42 +482,35 @@ def _build_parser() -> argparse.ArgumentParser:
         description="tuning-landscape characterization pipeline",
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    # no prefix matching: a removed flag must not run as a longer one
+    # (``--unit`` as ``--unit-sample``)
+    add_parser = partial(subparsers.add_parser, allow_abbrev=False)
 
-    gen = subparsers.add_parser("gen-net", help="build a random cascade")
+    gen = add_parser("gen-net", help="build a random cascade")
     gen.set_defaults(resolve=_resolve_gen_net)
     gen.add_argument("--levels", type=int, choices=tuple(_DEFAULT_SPECS), default=1)
     gen.add_argument("--spec", default=None, help="network spec JSON")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True)
 
-    char = subparsers.add_parser("characterize",
-                                 help="full single-unit report bundle")
-    _add_target_flags(char, _resolve_characterize)
-    char.add_argument("--task", default=None, help="task spec JSON")
+    char = add_parser("characterize",
+                      help="unit protocol: optimum, cone paths, subspaces, measures")
+    _add_target_flags(char, _resolve_characterize, task_required=False)
+    char.add_argument("--unit", type=int, default=None,
+                      help="output unit index for multi-output targets")
     char.add_argument("--walks", type=int, default=20,
                       help="random-walk curves in the distance diagram")
 
-    paths = subparsers.add_parser("paths", help="optimum and both cone paths")
-    _add_target_flags(paths, _resolve_paths)
-    paths.add_argument("--walks", type=int, default=20)
-
-    sub = subparsers.add_parser("subspace", help="cone solution subspaces")
-    _add_target_flags(sub, _resolve_subspace)
-    sub.add_argument("--task", default=None, help="task spec JSON")
-
-    enc = subparsers.add_parser("encode",
-                                help="reconstruct task references from responses")
-    _add_target_flags(enc, _resolve_encode, with_unit=False)
-    enc.add_argument("--task", required=True, help="task spec JSON")
+    enc = add_parser("encode", help="reconstruct task references from responses")
+    _add_target_flags(enc, _resolve_encode, task_required=True)
     enc.add_argument("--references", type=int, default=12)
 
-    mea = subparsers.add_parser("measure", help="one target, all measures")
-    _add_target_flags(mea, _resolve_measure)
-    mea.add_argument("--task", default=None, help="task spec JSON")
+    mea = add_parser("measure", help="population protocol: one network, all measures")
+    _add_target_flags(mea, _resolve_measure, task_required=True)
     mea.add_argument("--references", type=int, default=12)
     mea.add_argument("--unit-sample", dest="unit_sample", type=int, default=2)
 
-    ben = subparsers.add_parser("bench", help="population study into a store")
+    ben = add_parser("bench", help="population study into a store")
     ben.set_defaults(resolve=_resolve_bench)
     ben.add_argument("--config", required=True, help="study config JSON")
     ben.add_argument("--out", required=True, help="artifact store directory")
@@ -587,7 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                      help="worker processes, at most one per pending network")
 
-    rep = subparsers.add_parser("report", help="correlation table from a store")
+    rep = add_parser("report", help="correlation table from a store")
     rep.set_defaults(resolve=_resolve_report)
     rep.add_argument("--store", required=True)
     rep.add_argument("--out", default=None, help="defaults to the store")

@@ -14,7 +14,14 @@ import tunescope
 from tunescope.bench import TRAJECTORY_VERSION
 from tunescope.cli import _build_parser, main
 from tunescope.measures import MeasureReport
-from tunescope.targets import LevelSpec, default_l1_spec, default_l2_spec, spec_to_json
+from tunescope.targets import (
+    LevelSpec,
+    default_l1_spec,
+    default_l2_spec,
+    read_network_weights,
+    spec_to_json,
+    write_network_weights,
+)
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -327,11 +334,52 @@ class TestCharacterize:
         assert report["itsa"] is not None
 
 
+class TestDamagedWeights:
+    """A manifest whose weights.bin does not fit its spec exits 1 at resolution."""
+
+    def damage(self, tmp_path, capsys, levels, edit):
+        net = tmp_path / "net"
+        assert main(["gen-net", "--levels", levels, "--seed", "5", "--out", str(net)]) == 0
+        capsys.readouterr()
+        edit(net / "weights.bin")
+        return net
+
+    def characterize(self, net, unit, micro_config):
+        out = net.parent / f"char{unit}"
+        code = main(["characterize", "--target", str(net), "--unit", unit, "--seed", "3",
+                     "--config", micro_config, "--out", str(out)])
+        return code, out
+
+    def test_missing_level_kernel_is_geometry_error(self, tmp_path, capsys, micro_config):
+        def drop_level_2(weights):
+            write_network_weights(read_network_weights(weights)[:1], weights)
+
+        net = self.damage(tmp_path, capsys, "2", drop_level_2)
+        # unit 3 exists at level 1, unit 20 only at level 2
+        for unit in ("3", "20"):
+            code, out = self.characterize(net, unit, micro_config)
+            assert code == 1
+            assert error_payload(capsys) == {"type": "GeometryError",
+                                             "message": "1 kernels for 2 levels"}
+            assert not out.exists()
+
+    def test_non_finite_kernel_is_refused_at_load(self, tmp_path, capsys, micro_config):
+        def poison(weights):
+            kernels = read_network_weights(weights)
+            kernels[0][2, 0, 1, 1] = np.nan
+            write_network_weights(kernels, weights)
+
+        net = self.damage(tmp_path, capsys, "1", poison)
+        code, out = self.characterize(net, "0", micro_config)
+        assert code == 1
+        assert error_payload(capsys)["type"] == "NonFiniteError"
+        assert not out.exists()
+
+
 class TestPathsAndSubspace:
-    @pytest.mark.parametrize("command", ["characterize", "paths"])
-    def test_negative_walks_is_config_error(self, tmp_path, capsys, micro_config, command):
+    def test_negative_walks_is_config_error(self, tmp_path, capsys, micro_config):
         out = tmp_path / "out"
-        argv = [command, "--target", "linear", "--shape", "4", "--seed", "3",
+        argv = ["characterize", "--target", "linear", "--shape", "4", "--seed", "3",
                 "--config", micro_config, "--out", str(out)]
         assert main([*argv, "--walks", "-5"]) == 1
         assert "--walks" in error_payload(capsys)["message"]
@@ -344,18 +392,18 @@ class TestPathsAndSubspace:
                                               ("quadratic", "-3")])
     def test_builtin_side_below_two_is_config_error(self, tmp_path, capsys, micro_config,
                                                      target, side):
-        out = tmp_path / "paths"
-        assert main(["paths", "--target", target, "--shape", side, "--seed", "3",
+        out = tmp_path / "char"
+        assert main(["characterize", "--target", target, "--shape", side, "--seed", "3",
                      "--config", micro_config, "--out", str(out)]) == 1
         assert "--shape" in error_payload(capsys)["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("command, side, budgets, named", [
-        ("paths", "2", {"optimal_budget_per_dim": 3}, "path_budget_per_dim"),
+        ("characterize", "2", {"optimal_budget_per_dim": 3}, "path_budget_per_dim"),
         ("characterize", "3", {"optimal_budget_per_dim": 1}, "optimal_budget_per_dim"),
         ("encode", "2", {"reconstruct_budget_per_dim": 1}, "reconstruct_budget_per_dim"),
         # 8 evaluations are lambda at N = 4, one short of the start point and a generation
-        ("paths", "2", {"optimal_budget_per_dim": 3, "path_budget_per_dim": 2},
+        ("characterize", "2", {"optimal_budget_per_dim": 3, "path_budget_per_dim": 2},
          "path_budget_per_dim"),
     ])
     def test_budget_below_one_generation_is_config_error(self, tmp_path, capsys, command, side,
@@ -373,8 +421,8 @@ class TestPathsAndSubspace:
         assert not out.exists()
 
     def test_paths_bundle(self, tmp_path, capsys, micro_config):
-        out = tmp_path / "paths"
-        assert main(["paths", "--target", "linear", "--shape", "4",
+        out = tmp_path / "char"
+        assert main(["characterize", "--target", "linear", "--shape", "4",
                      "--seed", "3", "--config", micro_config,
                      "--walks", "2", "--out", str(out)]) == 0
         header, shape = (out / "path_invariance.csv").read_text().splitlines()[:2]
@@ -385,7 +433,7 @@ class TestPathsAndSubspace:
         net = tmp_path / "net"
         assert main(["gen-net", "--seed", "5", "--out", str(net)]) == 0
         out = tmp_path / "sub"
-        assert main(["subspace", "--target", str(net), "--unit", "0",
+        assert main(["characterize", "--target", str(net), "--unit", "0",
                      "--task", task_file, "--seed", "3",
                      "--config", micro_config, "--out", str(out)]) == 0
         blob = json.loads((out / "subspace.json").read_text())
@@ -393,6 +441,14 @@ class TestPathsAndSubspace:
         assert "invariance_alignment" in blob
         assert len(blob["invariance_fitnesses"]) == 2
 
+    @pytest.mark.parametrize("command", ["paths", "subspace"])
+    def test_removed_command_is_config_error(self, tmp_path, capsys, micro_config, command):
+        # characterize writes every file these commands wrote
+        out = tmp_path / "out"
+        assert main([command, "--target", "linear", "--shape", "4", "--seed", "3",
+                     "--config", micro_config, "--out", str(out)]) == 1
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_task_without_shape_takes_target_input(self, tmp_path, capsys, micro_config):
         net = tmp_path / "net2"
@@ -400,7 +456,7 @@ class TestPathsAndSubspace:
         task = tmp_path / "task.json"
         task.write_text(json.dumps({"n_classes": 8}))
         out = tmp_path / "sub"
-        assert main(["subspace", "--target", str(net), "--unit", "0", "--task", str(task),
+        assert main(["characterize", "--target", str(net), "--unit", "0", "--task", str(task),
                      "--seed", "3", "--config", micro_config, "--out", str(out)]) == 0
         assert "invariance_alignment" in json.loads((out / "subspace.json").read_text())
         assert json.loads((out / "run.json").read_text())["task"] == {"n_classes": 8}
@@ -413,7 +469,7 @@ class TestPathsAndSubspace:
         task = tmp_path / "task.json"
         task.write_text(json.dumps({"n_classes": 8, "width": 11}))
         out = tmp_path / "sub"
-        assert main(["subspace", "--target", str(net), "--unit", "0", "--task", str(task),
+        assert main(["characterize", "--target", str(net), "--unit", "0", "--task", str(task),
                      "--seed", "3", "--config", micro_config, "--out", str(out)]) == 1
         assert "task shape (21, 11) != target input (21, 21)" in error_payload(capsys)["message"]
         assert not out.exists()
@@ -503,6 +559,26 @@ class TestEncodeAndMeasure:
         assert "window 11 exceeds image side 3" in error_payload(capsys)["message"]
         assert not out.exists()
 
+    def test_measure_of_one_output_target_names_characterize(self, tmp_path, capsys,
+                                                             micro_config, task_file):
+        out = tmp_path / "mea"
+        assert main(["measure", "--target", "linear", "--task", task_file, "--seed", "3",
+                     "--config", micro_config, "--out", str(out)]) == 1
+        assert "characterize" in error_payload(capsys)["message"]
+        assert not out.exists()
+
+    def test_measure_unit_flag_is_config_error(self, tmp_path, capsys, micro_config, task_file):
+        # not read as an abbreviation of --unit-sample
+        net = tmp_path / "net"
+        assert main(["gen-net", "--seed", "5", "--out", str(net)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "mea"
+        assert main(["measure", "--target", str(net), "--unit", "3", "--task", task_file,
+                     "--references", "2", "--seed", "3", "--config", micro_config,
+                     "--out", str(out)]) == 1
+        assert "unrecognized arguments: --unit 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_measure_population_needs_task(self, tmp_path, capsys,
                                            micro_config):
         net = tmp_path / "net"
@@ -513,12 +589,12 @@ class TestEncodeAndMeasure:
                      "--out", str(tmp_path / "mea")]) == 1
 
 
-@pytest.mark.parametrize("command", ["characterize", "paths", "subspace", "encode", "measure"])
+@pytest.mark.parametrize("command", ["characterize", "encode", "measure"])
 def test_solver_config_seed_is_config_error(tmp_path, capsys, task_file, command):
     config = tmp_path / "search.json"
     config.write_text(json.dumps(dict(MICRO_SEARCH, seed=99)))
     out = tmp_path / "out"
-    task = ["--task", task_file] if command == "encode" else []
+    task = ["--task", task_file] if command in ("encode", "measure") else []
     assert main([command, "--target", "linear", "--shape", "11", *task, "--seed", "3",
                  "--config", str(config), "--out", str(out)]) == 1
     assert "master seed; remove seed" in error_payload(capsys)["message"]
