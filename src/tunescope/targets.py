@@ -387,7 +387,7 @@ def sthor_network(spec: SthorSpec, kernels: list[np.ndarray] | None = None) -> T
     else:
         kernels = [np.asarray(k, dtype=np.float64) for k in kernels]
         if len(kernels) != len(spec.levels):
-            raise GeometryError(f"{len(kernels)} kernels for {len(spec.levels)} levels")
+            raise GeometryError(f"kernel count {len(kernels)} != level count {len(spec.levels)}")
         n_in = 1
         for level, w in zip(spec.levels, kernels):
             expected = (level.n_filters, n_in, level.kernel_size, level.kernel_size)

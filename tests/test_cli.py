@@ -360,7 +360,7 @@ class TestDamagedWeights:
             code, out = self.characterize(net, unit, micro_config)
             assert code == 1
             assert error_payload(capsys) == {"type": "GeometryError",
-                                             "message": "1 kernels for 2 levels"}
+                                             "message": "kernel count 1 != level count 2"}
             assert not out.exists()
 
     def test_non_finite_kernel_is_refused_at_load(self, tmp_path, capsys, micro_config):

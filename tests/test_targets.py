@@ -244,7 +244,8 @@ class TestSthorNetwork:
         spec = default_l2_spec(weight_seed=1)
         kernels = draw_kernels(spec)
         for given in (kernels[:1], kernels + [kernels[1]]):
-            with pytest.raises(GeometryError, match=f"{len(given)} kernels for 2 levels"):
+            with pytest.raises(GeometryError,
+                               match=f"kernel count {len(given)} != level count 2"):
                 sthor_network(spec, kernels=given)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
