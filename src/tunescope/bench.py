@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -265,6 +266,16 @@ def pair_matching_performance(target: TargetHandle, task: StimulusSet, split) ->
 # per-target characterization bundles
 
 
+def _subspace_measures(samples: dict, task: StimulusSet | None) -> dict:
+    """``subspace.json``'s measures: ``capacity`` and, with a task, each alignment."""
+    measures = {"capacity": subspace_capacity(samples["invariance"])}
+    if task is not None:
+        for kind, sample in samples.items():
+            raw, normalized = subspace_alignment(sample, task)
+            measures[f"{kind}_alignment"] = {"raw": raw, "normalized": normalized}
+    return measures
+
+
 def characterize_unit(
     target: TargetHandle,
     config: SearchConfig,
@@ -276,21 +287,17 @@ def characterize_unit(
     x_hat = optimal.x_hat
     paths, samples = cone_stage(target, x_hat, config, with_subspace)
     osep = None if task is None else explanation_power(x_hat, task)
-    insc = itsa = stsa = None
-    artifacts = {"optimal": optimal, "paths": paths, "subspace": samples}
-    if with_subspace:
-        insc = subspace_capacity(samples["invariance"])
-        if task is not None:
-            _, itsa = subspace_alignment(samples["invariance"], task)
-            _, stsa = subspace_alignment(samples["selectivity"], task)
+    measures = _subspace_measures(samples, task) if with_subspace else {}
+    artifacts = {"optimal": optimal, "paths": paths, "subspace": samples,
+                 "subspace_measures": measures}
     report = MeasureReport(
         ossc=spectral_complexity(x_hat),
         osep=osep,
         inpp=path_potential_unit(paths[0], optimal.fitness),
         slpp=path_potential_unit(paths[1], optimal.fitness),
-        insc=insc,
-        itsa=itsa,
-        stsa=stsa,
+        insc=measures.get("capacity"),
+        itsa=measures.get("invariance_alignment", {}).get("normalized"),
+        stsa=measures.get("selectivity_alignment", {}).get("normalized"),
         provenance={
             "level": "unit",
             "target": target.name,
@@ -345,8 +352,8 @@ def characterize_population(
     scores = [encoding_specificity(recon) for recon in recon_sets]
 
     paths, samples = cone_stage(matcher, x_hat, pop_config, with_subspace=True)
-    itsa_raw, itsa = subspace_alignment(samples["invariance"], task)
-    stsa_raw, stsa = subspace_alignment(samples["selectivity"], task)
+    measures = _subspace_measures(samples, task)
+    itsa, stsa = measures["invariance_alignment"], measures["selectivity_alignment"]
 
     report = MeasureReport(
         ossc=spectral_complexity(x_hat),
@@ -354,9 +361,9 @@ def characterize_population(
         tses=float(np.mean(scores)),
         inpp=path_potential_population(paths[0]),
         slpp=path_potential_population(paths[1]),
-        insc=subspace_capacity(samples["invariance"]),
-        itsa=itsa,
-        stsa=stsa,
+        insc=measures["capacity"],
+        itsa=itsa["normalized"],
+        stsa=stsa["normalized"],
         provenance={
             "level": "population",
             "target": target.name,
@@ -364,7 +371,7 @@ def characterize_population(
             "best_reference": best_ref,
             "optimum_fitness": float(optimal.fitness),
             "unit_indices": unit_indices,
-            "alignment_raw": {"itsa": float(itsa_raw), "stsa": float(stsa_raw)},
+            "alignment_raw": {"itsa": itsa["raw"], "stsa": stsa["raw"]},
         },
     )
     artifacts = {
@@ -627,14 +634,13 @@ def collect_reports(store_dir) -> tuple[tuple[float, ...], tuple[MeasureReport, 
 
 
 def read_study_config(store_dir) -> dict:
-    """An artifact store's ``study_config.json``; ``ValueError`` naming the
-    file unless it is a JSON object whose ``n_networks`` is an integer >= 1."""
+    """An artifact store's ``study_config.json``; ``ValueError`` naming the file
+    unless it is a JSON object with an integer ``seed`` and ``n_networks`` >= 1."""
     path = Path(store_dir) / "study_config.json"
     try:
         blob = json.loads(path.read_text(encoding="ascii"))
-        count = blob["n_networks"]
+        fields = SimpleNamespace(n_networks=blob["n_networks"], seed=blob["seed"])
+        check_fields(fields, dict(n_networks=1, seed=None))
     except (OSError, ValueError, LookupError, TypeError) as exc:
-        raise ValueError(f"cannot read n_networks from {path}: {exc!r}") from exc
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise ValueError(f"{path}: n_networks is {count!r}; it must be an integer >= 1")
+        raise ValueError(f"cannot read n_networks and seed from {path}: {exc!r}") from exc
     return blob

@@ -46,8 +46,6 @@ from .measures import (
     check_ssim_side,
     encoding_specificity,
     report_to_json,
-    subspace_alignment,
-    subspace_capacity,
     write_fd_csv,
 )
 from .search import SearchConfig, encode_plans, random_walk_curve, run_plans
@@ -300,15 +298,10 @@ def _characterize(run: _TargetRun, n_walks: int) -> None:
     write_fd_csv(build_fd_diagram(paths, walks), run.out / "fd.csv")
     for path in paths:
         _write_matrix_csv(run.out / f"path_{path.kind}.csv", path.points)
-    blob = {"delta": run.search.subspace_delta}
+    blob = {"delta": run.search.subspace_delta, **artifacts["subspace_measures"]}
     for kind, sample in samples.items():
         _write_matrix_csv(run.out / f"subspace_{kind}.csv", sample.columns)
         blob[f"{kind}_fitnesses"] = list(sample.fitnesses)
-    blob["capacity"] = subspace_capacity(samples["invariance"])
-    if run.task is not None:
-        for kind, sample in samples.items():
-            raw, normalized = subspace_alignment(sample, run.task)
-            blob[f"{kind}_alignment"] = {"raw": raw, "normalized": normalized}
     write_json(run.out / "subspace.json", blob)
     write_json(run.out / "report.json", report_to_json(report))
     write_json(run.out / "run.json", run.run_json)
@@ -441,11 +434,12 @@ def _bench(population, task, references, config: BenchConfig, run_json: dict) ->
 
 def _resolve_report(args):
     store = Path(args.store)
-    read_study_config(store)
+    # the study's own seed, so the stage redraws the permutations bench drew
+    seed = read_study_config(store)["seed"]
     if args.permutations < 1:
         raise ValueError(f"--permutations is {args.permutations}; it must be at least 1")
     out = Path(args.out) if args.out else store
-    return partial(_report, store, out, _master_seed(args), args.permutations)
+    return partial(_report, store, out, seed, args.permutations)
 
 
 def _report(store: Path, out: Path, seed: int, permutations: int) -> None:
@@ -524,7 +518,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.set_defaults(resolve=_resolve_report)
     rep.add_argument("--store", required=True)
     rep.add_argument("--out", default=None, help="defaults to the store")
-    rep.add_argument("--seed", type=int, default=None)
     rep.add_argument("--permutations", type=int, default=10_000)
 
     return parser

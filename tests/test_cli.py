@@ -1,16 +1,24 @@
+import contextlib
+import io
 import json
 import os
 import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tunescope
+import tunescope.bench
+import tunescope.cli
 from tunescope.bench import TRAJECTORY_VERSION
 from tunescope.cli import _build_parser, main
 from tunescope.measures import MeasureReport
@@ -333,6 +341,32 @@ class TestCharacterize:
         assert report["osep"] is not None
         assert report["itsa"] is not None
 
+    def test_subspace_measures_are_computed_once(self, tmp_path, capsys, monkeypatch,
+                                                 micro_config, task_file):
+        """``subspace.json`` and ``report.json`` share one capacity and one
+        alignment per kind, wherever the package looks the functions up."""
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        for module in (tunescope.bench, tunescope.cli):
+            for name in ("subspace_capacity", "subspace_alignment"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        out = tmp_path / "char"
+        assert main(["characterize", "--target", "linear", "--shape", "4", "--task", task_file,
+                     "--seed", "3", "--config", micro_config, "--out", str(out)]) == 0
+        assert calls == {"subspace_capacity": 1, "subspace_alignment": 2}
+        subspace = json.loads((out / "subspace.json").read_text())
+        report = json.loads((out / "report.json").read_text())
+        assert subspace["capacity"] == report["insc"]
+        assert subspace["invariance_alignment"]["normalized"] == report["itsa"]
+        assert subspace["selectivity_alignment"]["normalized"] == report["stsa"]
+
 
 class TestDamagedWeights:
     """A manifest whose weights.bin does not fit its spec exits 1 at resolution."""
@@ -373,6 +407,52 @@ class TestDamagedWeights:
         code, out = self.characterize(net, "0", micro_config)
         assert code == 1
         assert error_payload(capsys)["type"] == "NonFiniteError"
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def reader_files(tmp_path_factory):
+    """The files ``characterize`` reads for a one-level network unit."""
+    net = tmp_path_factory.mktemp("reader_net") / "net"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-net", "--seed", "5", "--out", str(net)]) == 0
+    files = {name: (net / name).read_bytes() for name in ("manifest.json", "weights.bin")}
+    return dict(files, **{"search.json": json.dumps(MICRO_SEARCH).encode()})
+
+
+@given(damage=st.sampled_from(["truncate", "extend", "cut"]), keep=st.integers(0, 1 << 20),
+       extra=st.binary(min_size=1, max_size=64))
+@example(damage="truncate", keep=0, extra=b"\0")  # empty weights.bin
+@example(damage="truncate", keep=1 << 20, extra=b"\0")  # one byte short
+@example(damage="cut", keep=0, extra=b"\0")  # empty manifest.json
+@example(damage="cut", keep=1 << 20, extra=b"\0")  # all but the closing brace
+@settings(max_examples=100, deadline=None)
+def test_damaged_reader_input_exits_1_writing_nothing(reader_files, damage, keep, extra):
+    """``truncate`` keeps the first ``keep`` bytes of ``weights.bin`` (at most
+    all but one), ``extend`` appends ``extra`` to it, and ``cut`` keeps the
+    first ``keep`` bytes of ``manifest.json`` before its closing brace."""
+    files = dict(reader_files)
+    weights, manifest = files["weights.bin"], files["manifest.json"]
+    if damage == "truncate":
+        files["weights.bin"] = weights[:min(keep, len(weights) - 1)]
+    elif damage == "extend":
+        files["weights.bin"] = weights + extra
+    else:
+        files["manifest.json"] = manifest[:min(keep, manifest.rindex(b"}"))]
+    damaged = "manifest.json" if damage == "cut" else "weights.bin"
+    with tempfile.TemporaryDirectory() as root:
+        net = Path(root) / "net"
+        net.mkdir()
+        for name, content in files.items():
+            (net / name).write_bytes(content)
+        out = Path(root) / "char"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["characterize", "--target", str(net), "--unit", "0", "--seed", "3",
+                         "--config", str(net / "search.json"), "--out", str(out)])
+        error = json.loads(stderr.getvalue())["error"]
+        assert code == 1
+        assert error["type"] == "ValueError" and damaged in error["message"]
         assert not out.exists()
 
 
@@ -629,9 +709,10 @@ UNUSABLE_STUDY = [
 
 
 # a study_config.json that no reader can use: truncated, not an object,
-# and a network count that is not an integer
-DAMAGED_STUDY_CONFIGS = ['{"n_networks": ', "[]", '{"n_networks": "3"}']
-DAMAGED_IDS = ["truncated", "list", "string-count"]
+# a network count that is not an integer, and a seed missing or not an integer
+DAMAGED_STUDY_CONFIGS = ['{"n_networks": ', "[]", '{"n_networks": "3", "seed": 4}',
+                         '{"n_networks": 3}', '{"n_networks": 3, "seed": "4"}']
+DAMAGED_IDS = ["truncated", "list", "string-count", "missing-seed", "string-seed"]
 
 
 class TestBench:
@@ -662,8 +743,8 @@ class TestBench:
         assert main(["bench", "--config", config, "--out", str(store),
                      "--seed", "6", "--workers", "1"]) == 0
         out = tmp_path / "rep"
-        assert main(["report", "--store", str(store), "--seed", "6",
-                     "--out", str(out)]) == 0
+        # the store records seed 6, so report draws bench's permutations
+        assert main(["report", "--store", str(store), "--out", str(out)]) == 0
         for name in ("correlation.csv", "summary.json"):
             assert (out / name).read_bytes() == (store / name).read_bytes(), name
 
@@ -1000,7 +1081,7 @@ class TestReport:
                 "provenance": {"level": "population", "seed": seed},
             }
             (net / "report.json").write_text(json.dumps(blob, sort_keys=True))
-        (store / "study_config.json").write_text(json.dumps({"n_networks": n}))
+        (store / "study_config.json").write_text(json.dumps({"n_networks": n, "seed": seed}))
         return store
 
     def test_small_store_skips_correlation(self, tmp_path, capsys):
@@ -1015,7 +1096,7 @@ class TestReport:
         store = self.fabricate_store(tmp_path)
         out = tmp_path / "rep"
         assert main(["report", "--store", str(store), "--out", str(out),
-                     "--seed", "1", "--permutations", "200"]) == 0
+                     "--permutations", "200"]) == 0
         lines = (out / "correlation.csv").read_text().splitlines()
         assert lines[0] == "measure,spearman,pearson,p_perm"
         names = [line.split(",")[0] for line in lines[1:]]
@@ -1035,7 +1116,7 @@ class TestReport:
                     "--config", micro_config, "--walks", "2", "--out", str(out)]
         else:
             out = self.fabricate_store(tmp_path)
-            argv = ["report", "--store", str(out), "--seed", "1", "--permutations", "50"]
+            argv = ["report", "--store", str(out), "--permutations", "50"]
         assert main(argv) == 0
         previous = (out / name).read_bytes()
         fail_write_of(name)
@@ -1072,7 +1153,7 @@ class TestReport:
         shutil.rmtree(store / "network_010")
         shutil.rmtree(store / "network_011")
         capsys.readouterr()
-        assert main(["report", "--store", str(store), "--seed", "4"]) == 2
+        assert main(["report", "--store", str(store)]) == 2
         message = error_payload(capsys)["message"]
         assert "network_010" in message and "network_011" in message
         assert "network_009" not in message
@@ -1089,6 +1170,14 @@ class TestReport:
         summary = json.loads((store / "summary.json").read_text())
         assert summary["n_networks"] == 1001
         assert summary["performances"] == expected
+
+    def test_seed_flag_is_refused(self, tmp_path, capsys):
+        """The seed is the one the store records; there is no flag to restate it."""
+        store = self.fabricate_store(tmp_path, n=10)
+        out = tmp_path / "rep"
+        assert main(["report", "--store", str(store), "--seed", "6", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert not (store / "summary.json").exists()
 
     def test_missing_store_is_config_error(self, tmp_path, capsys):
         assert main(["report", "--store", str(tmp_path / "absent")]) == 1

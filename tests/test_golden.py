@@ -72,8 +72,7 @@ COMMANDS = (
     ["measure", "--target", "out/net", "--task", "task.json", "--references", "2",
      "--unit-sample", "1", "--seed", "3", "--config", "search.json",
      "--out", "out/measure_pop"],
-    ["report", "--store", "out/store", "--seed", "4", "--permutations", "200",
-     "--out", "out/report"],
+    ["report", "--store", "out/store", "--permutations", "200", "--out", "out/report"],
     ["gen-net", "--levels", "2", "--seed", "5", "--out", "out/net2"],
     ["characterize", "--target", "out/net2", "--unit", "0", "--seed", "3",
      "--config", "search.json", "--walks", "2", "--out", "out/char_l2"],
