@@ -379,6 +379,7 @@ def characterize_population(
         "paths": paths,
         "subspace": samples,
         "reconstructions": recon_sets,
+        "specificities": scores,
         "unit_hats": unit_hats,
     }
     return report, artifacts
@@ -529,7 +530,7 @@ def write_measures_csv(path, performances, reports) -> None:
 
 
 def correlation_stage(
-    out: Path, reports, performances, seed: int, n_perm: int = 10_000
+    out: Path, reports, performances, seed: int
 ) -> tuple[tuple[dict, ...], float | None]:
     """Correlate measures with performance; write the result under ``out``.
 
@@ -541,7 +542,7 @@ def correlation_stage(
     summary = {"seed": seed, "n_networks": len(reports), "all_r2": None,
                "performances": list(performances)}
     if len(reports) >= MIN_NETWORKS_FOR_TABLE:
-        rows, summary["all_r2"] = correlation_table(reports, performances, seed=seed, n_perm=n_perm)
+        rows, summary["all_r2"] = correlation_table(reports, performances, seed=seed)
         summary["correlations"] = list(rows)
         write_correlation_csv(list(rows), out / "correlation.csv")
     write_json(out / "summary.json", summary)

@@ -2,13 +2,13 @@
 
 Anything nested (solver budgets, task families, study layouts) lives in
 JSON config files with a documented key schema.  Flags cover paths,
-seeds, the resume switch, the work pool and seven scalar settings:
-``--shape``, ``--levels``, ``--unit``, ``--unit-sample``, ``--walks``,
-``--references`` and ``--permutations``.  Every payload a command emits
-is a pure function of (config file, master seed): no timestamps,
-sorted JSON keys, repr'd floats.  Exit codes: 0 success, 1 bad
-configuration, 2 failure while running.  Failures print a single JSON
-object to stderr so callers never have to scrape tracebacks.
+seeds, the resume switch, the work pool and six scalar settings:
+``--shape``, ``--levels``, ``--unit``, ``--unit-sample``, ``--walks``
+and ``--references``.  Every payload a command emits is a pure
+function of (config file, master seed): no timestamps, sorted JSON
+keys, repr'd floats.  Exit codes: 0 success, 1 bad configuration, 2
+failure while running.  Failures print a single JSON object to stderr
+so callers never have to scrape tracebacks.
 """
 
 from __future__ import annotations
@@ -40,15 +40,9 @@ from .bench import (
     study_pair_split,
 )
 from .errors import check_fields, from_mapping
-from .measures import (
-    MeasureReport,
-    build_fd_diagram,
-    check_ssim_side,
-    encoding_specificity,
-    report_to_json,
-    write_fd_csv,
-)
-from .search import SearchConfig, encode_plans, random_walk_curve, run_plans
+from .measures import MeasureReport, build_fd_diagram, check_ssim_side, report_to_json
+from .measures import write_fd_csv
+from .search import SearchConfig, random_walk_curve
 from .seeds import derive_int, derive_rng
 from .solver import default_population_size
 from .stimulus import Stimulus, StimulusSet, project_sphere, write_stimulus_csv
@@ -86,6 +80,8 @@ def _load_json(path: Path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _require_path(token: str, what: str) -> Path:
@@ -130,6 +126,8 @@ def _load_target(token: str, side: int, seed: int) -> TargetHandle:
     blob = _load_json(path)
     if not isinstance(blob, dict) or "spec" not in blob or "weights" not in blob:
         raise ValueError(f"{path}: expected a manifest with 'spec' and 'weights'")
+    if not isinstance(blob["weights"], str):
+        raise ValueError(f"{path}: 'weights' must name a file, got {blob['weights']!r}")
     spec = spec_from_json(blob["spec"])
     kernels = read_network_weights(path.parent / blob["weights"])
     return sthor_network(spec, kernels=kernels)
@@ -219,7 +217,7 @@ def _gen_net(spec, out: Path) -> None:
 
 @dataclass(frozen=True)
 class _TargetRun:
-    """The resolved inputs that the three target commands share."""
+    """The resolved inputs that the two target commands share."""
 
     out: Path
     seed: int
@@ -265,10 +263,6 @@ def _resolve_target(args, budgets: tuple[str, ...]) -> _TargetRun:
     return _TargetRun(Path(args.out), seed, search, target, task, run_json)
 
 
-def _references(run: _TargetRun, count: int) -> StimulusSet:
-    return sample_references(run.task, count, seed=derive_int(run.seed, "references"))
-
-
 # the budget kinds of a unit protocol: the optimum, then the cone searches
 _UNIT_BUDGETS = ("optimal", "path")
 
@@ -309,30 +303,6 @@ def _characterize(run: _TargetRun, n_walks: int) -> None:
     _print_report(report)
 
 
-def _resolve_encode(args):
-    run = _resolve_target(args, ("reconstruct",))
-    check_ssim_side(run.target.input_shape)
-    return partial(_encode, run, _references(run, args.references))
-
-
-def _encode(run: _TargetRun, references: StimulusSet) -> None:
-    recon_sets = run_plans(encode_plans(run.target, references, run.search))
-    per_reference = []
-    for i, (reference, recons) in enumerate(zip(references, recon_sets)):
-        specificity = encoding_specificity(recons)
-        best = int(np.argmax(recons.fitnesses))
-        _write_stimulus(reference, run.out / f"reference_{i:02d}")
-        _write_stimulus(recons.reconstructions[best], run.out / f"reconstruction_{i:02d}")
-        per_reference.append(
-            {"reference": i, "specificity": specificity, "best_fitness": recons.fitnesses[best]}
-        )
-    tses = float(np.mean([row["specificity"] for row in per_reference]))
-    write_json(run.out / "encode.json", {"per_reference": per_reference, "tses": tses})
-    write_json(run.out / "run.json", run.run_json)
-    print(f"references: {len(references)}")
-    print(f"tses: {tses!r}")
-
-
 def _resolve_measure(args):
     run = _resolve_target(args, (*_UNIT_BUDGETS, "reconstruct"))
     if run.target.response_dim == 1:
@@ -343,14 +313,27 @@ def _resolve_measure(args):
     if args.unit_sample < 1:
         raise ValueError(f"--unit-sample is {args.unit_sample}; it must be at least 1")
     check_ssim_side(run.target.input_shape)
-    return partial(_measure, run, _references(run, args.references), args.unit_sample)
+    references = sample_references(run.task, args.references,
+                                   seed=derive_int(run.seed, "references"))
+    return partial(_measure, run, references, args.unit_sample)
 
 
 def _measure(run: _TargetRun, references: StimulusSet, unit_sample: int) -> None:
-    """Full MeasureReport for one network under the population protocol."""
+    """Full MeasureReport for one network under the population protocol,
+    with each reference beside its best reconstruction."""
     report, artifacts = characterize_population(
         run.target, run.task, references, run.search, unit_sample=unit_sample
     )
+    per_reference = []
+    scored = zip(references, artifacts["reconstructions"], artifacts["specificities"])
+    for i, (reference, recons, specificity) in enumerate(scored):
+        best = int(np.argmax(recons.fitnesses))
+        _write_stimulus(reference, run.out / f"reference_{i:02d}")
+        _write_stimulus(recons.reconstructions[best], run.out / f"reconstruction_{i:02d}")
+        per_reference.append(
+            {"reference": i, "specificity": specificity, "best_fitness": recons.fitnesses[best]}
+        )
+    write_json(run.out / "encode.json", {"per_reference": per_reference, "tses": report.tses})
     _write_stimulus(artifacts["x_hat"], run.out / "x_hat")
     write_json(run.out / "report.json", report_to_json(report))
     write_json(run.out / "run.json", run.run_json)
@@ -436,15 +419,13 @@ def _resolve_report(args):
     store = Path(args.store)
     # the study's own seed, so the stage redraws the permutations bench drew
     seed = read_study_config(store)["seed"]
-    if args.permutations < 1:
-        raise ValueError(f"--permutations is {args.permutations}; it must be at least 1")
     out = Path(args.out) if args.out else store
-    return partial(_report, store, out, seed, args.permutations)
+    return partial(_report, store, out, seed)
 
 
-def _report(store: Path, out: Path, seed: int, permutations: int) -> None:
+def _report(store: Path, out: Path, seed: int) -> None:
     performances, reports = collect_reports(store)
-    _, all_r2 = correlation_stage(out, reports, performances, seed, n_perm=permutations)
+    _, all_r2 = correlation_stage(out, reports, performances, seed)
     if all_r2 is None:
         print(
             f"correlation: skipped ({len(reports)} networks, "
@@ -495,11 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
     char.add_argument("--walks", type=int, default=20,
                       help="random-walk curves in the distance diagram")
 
-    enc = add_parser("encode", help="reconstruct task references from responses")
-    _add_target_flags(enc, _resolve_encode, task_required=True)
-    enc.add_argument("--references", type=int, default=12)
-
-    mea = add_parser("measure", help="population protocol: one network, all measures")
+    mea = add_parser("measure",
+                     help="population protocol: one network, all measures, reconstructions")
     _add_target_flags(mea, _resolve_measure, task_required=True)
     mea.add_argument("--references", type=int, default=12)
     mea.add_argument("--unit-sample", dest="unit_sample", type=int, default=2)
@@ -518,7 +496,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.set_defaults(resolve=_resolve_report)
     rep.add_argument("--store", required=True)
     rep.add_argument("--out", default=None, help="defaults to the store")
-    rep.add_argument("--permutations", type=int, default=10_000)
 
     return parser
 

@@ -420,26 +420,42 @@ def reader_files(tmp_path_factory):
     return dict(files, **{"search.json": json.dumps(MICRO_SEARCH).encode()})
 
 
-@given(damage=st.sampled_from(["truncate", "extend", "cut"]), keep=st.integers(0, 1 << 20),
-       extra=st.binary(min_size=1, max_size=64))
+@given(damage=st.sampled_from(["truncate", "extend", "cut", "cut-search", "flip", "weights"]),
+       keep=st.integers(0, 1 << 20), extra=st.binary(min_size=1, max_size=64))
 @example(damage="truncate", keep=0, extra=b"\0")  # empty weights.bin
 @example(damage="truncate", keep=1 << 20, extra=b"\0")  # one byte short
 @example(damage="cut", keep=0, extra=b"\0")  # empty manifest.json
 @example(damage="cut", keep=1 << 20, extra=b"\0")  # all but the closing brace
+@example(damage="cut-search", keep=1 << 20, extra=b"\0")  # search.json, likewise
+@example(damage="flip", keep=0, extra=b"\0")  # manifest.json's opening brace
+@example(damage="weights", keep=5, extra=b"\0")  # "weights": 5
 @settings(max_examples=100, deadline=None)
 def test_damaged_reader_input_exits_1_writing_nothing(reader_files, damage, keep, extra):
     """``truncate`` keeps the first ``keep`` bytes of ``weights.bin`` (at most
-    all but one), ``extend`` appends ``extra`` to it, and ``cut`` keeps the
-    first ``keep`` bytes of ``manifest.json`` before its closing brace."""
+    all but one), and ``extend`` appends ``extra`` to it.  ``cut`` and
+    ``cut-search`` keep the first ``keep`` bytes of ``manifest.json`` or
+    ``search.json`` before its closing brace.  ``flip`` sets one byte of the
+    two JSON files, counted through both from ``keep``, to 0xff, and
+    ``weights`` sets the manifest's ``"weights"`` to the number ``keep``."""
     files = dict(reader_files)
-    weights, manifest = files["weights.bin"], files["manifest.json"]
+    damaged = "weights.bin"
     if damage == "truncate":
-        files["weights.bin"] = weights[:min(keep, len(weights) - 1)]
+        files[damaged] = files[damaged][:min(keep, len(files[damaged]) - 1)]
     elif damage == "extend":
-        files["weights.bin"] = weights + extra
+        files[damaged] += extra
+    elif damage == "flip":
+        offset = keep % (len(files["manifest.json"]) + len(files["search.json"]))
+        for damaged in ("manifest.json", "search.json"):
+            if offset < len(files[damaged]):
+                break
+            offset -= len(files[damaged])
+        files[damaged] = files[damaged][:offset] + b"\xff" + files[damaged][offset + 1:]
+    elif damage == "weights":
+        damaged = "manifest.json"
+        files[damaged] = json.dumps(dict(json.loads(files[damaged]), weights=keep)).encode()
     else:
-        files["manifest.json"] = manifest[:min(keep, manifest.rindex(b"}"))]
-    damaged = "manifest.json" if damage == "cut" else "weights.bin"
+        damaged = "manifest.json" if damage == "cut" else "search.json"
+        files[damaged] = files[damaged][:min(keep, files[damaged].rindex(b"}"))]
     with tempfile.TemporaryDirectory() as root:
         net = Path(root) / "net"
         net.mkdir()
@@ -481,7 +497,8 @@ class TestPathsAndSubspace:
     @pytest.mark.parametrize("command, side, budgets, named", [
         ("characterize", "2", {"optimal_budget_per_dim": 3}, "path_budget_per_dim"),
         ("characterize", "3", {"optimal_budget_per_dim": 1}, "optimal_budget_per_dim"),
-        ("encode", "2", {"reconstruct_budget_per_dim": 1}, "reconstruct_budget_per_dim"),
+        ("measure", "2", {"optimal_budget_per_dim": 3, "path_budget_per_dim": 3,
+                          "reconstruct_budget_per_dim": 1}, "reconstruct_budget_per_dim"),
         # 8 evaluations are lambda at N = 4, one short of the start point and a generation
         ("characterize", "2", {"optimal_budget_per_dim": 3, "path_budget_per_dim": 2},
          "path_budget_per_dim"),
@@ -494,7 +511,7 @@ class TestPathsAndSubspace:
         task.write_text(json.dumps({"n_classes": 2, "samples_per_class": 2,
                                     "height": int(side), "width": int(side)}))
         out = tmp_path / "out"
-        extra = ["--task", str(task), "--references", "1"] if command == "encode" else []
+        extra = ["--task", str(task), "--references", "1"] if command == "measure" else []
         assert main([command, "--target", "linear", "--shape", side, "--seed", "3",
                      "--config", str(config), *extra, "--out", str(out)]) == 1
         assert named in error_payload(capsys)["message"]
@@ -521,9 +538,10 @@ class TestPathsAndSubspace:
         assert "invariance_alignment" in blob
         assert len(blob["invariance_fitnesses"]) == 2
 
-    @pytest.mark.parametrize("command", ["paths", "subspace"])
+    @pytest.mark.parametrize("command", ["paths", "subspace", "encode"])
     def test_removed_command_is_config_error(self, tmp_path, capsys, micro_config, command):
-        # characterize writes every file these commands wrote
+        # characterize writes every file paths and subspace wrote, and
+        # measure every file encode wrote
         out = tmp_path / "out"
         assert main([command, "--target", "linear", "--shape", "4", "--seed", "3",
                      "--config", micro_config, "--out", str(out)]) == 1
@@ -556,14 +574,18 @@ class TestPathsAndSubspace:
 
 
 class TestEncodeAndMeasure:
-    def test_encode_emits_reconstruction_pairs(self, tmp_path, capsys,
-                                               micro_config, task_file):
+    def measure(self, tmp_path, micro_config, task_file):
         net = tmp_path / "net"
         assert main(["gen-net", "--seed", "5", "--out", str(net)]) == 0
-        out = tmp_path / "enc"
-        assert main(["encode", "--target", str(net), "--task", task_file,
-                     "--references", "2", "--seed", "3",
+        out = tmp_path / "mea"
+        assert main(["measure", "--target", str(net), "--task", task_file,
+                     "--references", "2", "--unit-sample", "1", "--seed", "3",
                      "--config", micro_config, "--out", str(out)]) == 0
+        return out
+
+    def test_measure_emits_reconstruction_pairs(self, tmp_path, capsys,
+                                                micro_config, task_file):
+        out = self.measure(tmp_path, micro_config, task_file)
         blob = json.loads((out / "encode.json").read_text())
         assert len(blob["per_reference"]) == 2
         assert -1.0 <= blob["tses"] <= 1.0
@@ -571,11 +593,34 @@ class TestEncodeAndMeasure:
             assert (out / f"reference_{i:02d}.pgm").exists()
             assert (out / f"reconstruction_{i:02d}.csv").exists()
 
+    def test_encode_tses_is_report_tses(self, tmp_path, capsys, monkeypatch, micro_config,
+                                        task_file):
+        """Each reference's specificity is computed once, and ``encode.json``
+        and ``report.json`` agree on their mean."""
+        calls = []
+        specificity = tunescope.bench.encoding_specificity
+
+        def counted(recons):
+            calls.append(recons)
+            return specificity(recons)
+
+        monkeypatch.setattr(tunescope.bench, "encoding_specificity", counted)
+        out = self.measure(tmp_path, micro_config, task_file)
+        assert len(calls) == 2 and not hasattr(tunescope.cli, "encoding_specificity")
+        encode = json.loads((out / "encode.json").read_text())
+        report = json.loads((out / "report.json").read_text())
+        assert encode["tses"] == report["tses"]
+        specificities = [row["specificity"] for row in encode["per_reference"]]
+        assert encode["tses"] == float(np.mean(specificities))
+
     def test_no_reconstruction_runs_is_config_error(self, tmp_path, capsys, task_file):
+        net = tmp_path / "net"
+        assert main(["gen-net", "--seed", "5", "--out", str(net)]) == 0
+        capsys.readouterr()
         config = tmp_path / "search.json"
         config.write_text(json.dumps(dict(MICRO_SEARCH, reconstruct_runs=0)))
-        out = tmp_path / "enc"
-        assert main(["encode", "--target", "linear", "--task", task_file,
+        out = tmp_path / "mea"
+        assert main(["measure", "--target", str(net), "--task", task_file,
                      "--references", "2", "--seed", "3",
                      "--config", str(config), "--out", str(out)]) == 1
         assert "reconstruct_runs" in error_payload(capsys)["message"]
@@ -606,7 +651,7 @@ class TestEncodeAndMeasure:
         assert "--unit-sample" in error_payload(capsys)["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, count", [("encode", 0), ("encode", 99), ("measure", 0)])
+    @pytest.mark.parametrize("command, count", [("measure", 0), ("measure", 99)])
     def test_reference_count_outside_task_is_config_error(self, tmp_path, capsys, micro_config,
                                                           task_file, command, count):
         net = tmp_path / "net"
@@ -619,7 +664,7 @@ class TestEncodeAndMeasure:
         assert f"cannot draw {count} references" in error_payload(capsys)["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["encode", "measure"])
+    @pytest.mark.parametrize("command", ["measure"])
     def test_side_below_ssim_window_is_config_error(self, tmp_path, capsys, command):
         # a 3x3 receptive field cannot hold the 11-pixel window that
         # encoding specificity compares reconstructions through
@@ -669,12 +714,12 @@ class TestEncodeAndMeasure:
                      "--out", str(tmp_path / "mea")]) == 1
 
 
-@pytest.mark.parametrize("command", ["characterize", "encode", "measure"])
+@pytest.mark.parametrize("command", ["characterize", "measure"])
 def test_solver_config_seed_is_config_error(tmp_path, capsys, task_file, command):
     config = tmp_path / "search.json"
     config.write_text(json.dumps(dict(MICRO_SEARCH, seed=99)))
     out = tmp_path / "out"
-    task = ["--task", task_file] if command in ("encode", "measure") else []
+    task = ["--task", task_file] if command == "measure" else []
     assert main([command, "--target", "linear", "--shape", "11", *task, "--seed", "3",
                  "--config", str(config), "--out", str(out)]) == 1
     assert "master seed; remove seed" in error_payload(capsys)["message"]
@@ -1095,8 +1140,7 @@ class TestReport:
     def test_full_store_emits_ordered_table(self, tmp_path, capsys):
         store = self.fabricate_store(tmp_path)
         out = tmp_path / "rep"
-        assert main(["report", "--store", str(store), "--out", str(out),
-                     "--permutations", "200"]) == 0
+        assert main(["report", "--store", str(store), "--out", str(out)]) == 0
         lines = (out / "correlation.csv").read_text().splitlines()
         assert lines[0] == "measure,spearman,pearson,p_perm"
         names = [line.split(",")[0] for line in lines[1:]]
@@ -1116,7 +1160,7 @@ class TestReport:
                     "--config", micro_config, "--walks", "2", "--out", str(out)]
         else:
             out = self.fabricate_store(tmp_path)
-            argv = ["report", "--store", str(out), "--permutations", "50"]
+            argv = ["report", "--store", str(out)]
         assert main(argv) == 0
         previous = (out / name).read_bytes()
         fail_write_of(name)
@@ -1127,7 +1171,7 @@ class TestReport:
     @pytest.mark.parametrize("damage", ["truncate", "delete"])
     def test_damaged_network_report_fails(self, tmp_path, capsys, damage):
         store = self.fabricate_store(tmp_path, n=10)
-        assert main(["report", "--store", str(store), "--permutations", "50"]) == 0
+        assert main(["report", "--store", str(store)]) == 0
         previous = (store / "summary.json").read_bytes()
         damaged = store / "network_003" / "report.json"
         if damage == "truncate":
@@ -1135,7 +1179,7 @@ class TestReport:
         else:
             damaged.unlink()
         capsys.readouterr()
-        assert main(["report", "--store", str(store), "--permutations", "50"]) == 2
+        assert main(["report", "--store", str(store)]) == 2
         error = json.loads(capsys.readouterr().err)["error"]
         assert "network_003" in error["message"]
         assert "network_002" not in error["message"]
@@ -1162,7 +1206,7 @@ class TestReport:
 
     def test_large_store_reads_in_index_order(self, tmp_path, capsys):
         store = self.fabricate_store(tmp_path, n=1001)
-        assert main(["report", "--store", str(store), "--permutations", "10"]) == 0
+        assert main(["report", "--store", str(store)]) == 0
         expected = [
             json.loads((store / f"network_{i:03d}" / "report.json").read_text())["performance"]
             for i in range(1001)
@@ -1208,18 +1252,18 @@ class TestReport:
             blob = json.loads(path.read_text())
             blob["measures"][measure] = 0.5
             path.write_text(json.dumps(blob, sort_keys=True))
-        assert main(["report", "--store", str(store), "--permutations", "50"]) == 2
+        assert main(["report", "--store", str(store)]) == 2
         payload = error_payload(capsys)
         assert payload["type"] == error
         assert payload["message"] == f"{measure.upper()} is the same for every network"
         assert not (store / "summary.json").exists()
 
-    @pytest.mark.parametrize("permutations", ["0", "-5"])
-    def test_permutations_below_one_is_config_error(self, tmp_path, capsys, permutations):
+    def test_permutations_flag_is_refused(self, tmp_path, capsys):
+        """The draw count is the one bench used; a store records no other."""
         store = self.fabricate_store(tmp_path, n=10)
         out = tmp_path / "rep"
-        assert main(["report", "--store", str(store), "--out", str(out),
-                     "--permutations", permutations]) == 1
-        assert "--permutations" in error_payload(capsys)["message"]
+        assert main(["report", "--store", str(store), "--permutations", "50",
+                     "--out", str(out)]) == 1
+        assert "unrecognized arguments: --permutations 50" in capsys.readouterr().err
         assert not out.exists()
         assert not (store / "summary.json").exists()
