@@ -4,13 +4,14 @@ Pins the sha256 of every file that a tiny run of the command line
 writes: a one-level cascade from ``gen-net``; ``characterize`` on four
 of its units, with and without a task (the ``paths``, ``subspace`` and
 ``measure_unit`` directories keep the names of the unit commands that
-``characterize`` replaced, so their hashes keep their keys); ``encode``
-of two references through the whole cascade; a ten-network ``bench``
-store (so the correlation stage runs); population ``measure``; a
-``report`` re-read of that store; and a two-level cascade with
-``characterize`` on one of its units, with no task because the task
-above is 11x11.  Budgets are cut to a few generations per search so the
-whole run takes seconds.
+``characterize`` replaced, so their hashes keep their keys); a
+ten-network ``bench`` store (so the correlation stage runs); population
+``measure`` with two references, which also writes the reconstruction
+files that the removed ``encode`` command wrote; a ``report`` re-read of
+that store, which rebuilds the store's own tables; and a two-level
+cascade with ``characterize`` on one of its units, with no task because
+the task above is 11x11.  Budgets are cut to a few generations per
+search so the whole run takes seconds.
 
 Float bytes depend on the numpy and BLAS build, so ``golden_sha256.json``
 records the build beside the hashes.  On any other build this test
@@ -64,15 +65,13 @@ COMMANDS = (
      "--config", "search.json", "--walks", "2", "--out", "out/paths"],
     ["characterize", "--target", "out/net", "--unit", "2", "--task", "task.json",
      "--seed", "3", "--config", "search.json", "--out", "out/subspace"],
-    ["encode", "--target", "out/net", "--task", "task.json", "--references", "2",
-     "--seed", "3", "--config", "search.json", "--out", "out/encode"],
     ["bench", "--config", "study.json", "--out", "out/store", "--workers", "1"],
     ["characterize", "--target", "out/net", "--unit", "3", "--task", "task.json",
      "--seed", "3", "--config", "search.json", "--out", "out/measure_unit"],
     ["measure", "--target", "out/net", "--task", "task.json", "--references", "2",
      "--unit-sample", "1", "--seed", "3", "--config", "search.json",
      "--out", "out/measure_pop"],
-    ["report", "--store", "out/store", "--permutations", "200", "--out", "out/report"],
+    ["report", "--store", "out/store", "--out", "out/report"],
     ["gen-net", "--levels", "2", "--seed", "5", "--out", "out/net2"],
     ["characterize", "--target", "out/net2", "--unit", "0", "--seed", "3",
      "--config", "search.json", "--walks", "2", "--out", "out/char_l2"],
