@@ -292,7 +292,7 @@ def _characterize(run: _TargetRun, n_walks: int) -> None:
     write_fd_csv(build_fd_diagram(paths, walks), run.out / "fd.csv")
     for path in paths:
         _write_matrix_csv(run.out / f"path_{path.kind}.csv", path.points)
-    blob = {"delta": run.search.subspace_delta, **artifacts["subspace_measures"]}
+    blob = {"delta": samples["invariance"].delta, **artifacts["subspace_measures"]}
     for kind, sample in samples.items():
         _write_matrix_csv(run.out / f"subspace_{kind}.csv", sample.columns)
         blob[f"{kind}_fitnesses"] = list(sample.fitnesses)

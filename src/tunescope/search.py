@@ -76,54 +76,49 @@ _COUNTS = dict(
     stagnation_window=1,
 )
 
+# The fixed probe geometry: the initial step of each sphere search and of
+# each cone search, the spectral exponents that seeding noise cycles
+# through, and the one cone angle of a subspace sample.  Each search stops
+# on the step tolerance of ``SolverConfig``.
+_OPTIMAL_SIGMA0 = 0.3
+_PATH_SIGMA0 = 0.1
+_ALPHA_SET = (-4.0, -3.0, -2.0, -1.0, 0.0)
+_SUBSPACE_DELTA = 0.1 * np.pi
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Budgets, grids and seeding for one full characterization.
 
-    Every search runs on the unit-energy sphere.  Budgets are per
-    dimension: a target with N inputs gets ``optimal_budget_per_dim * N``
-    evaluations for each optimal-stimulus run and
-    ``path_budget_per_dim * N`` per cone angle.  Cone angles
-    (``deltas``, at least one, and ``subspace_delta``) are reals in
-    (0, pi].  ``alpha_set`` holds at least one finite real.  The
-    seed is an integer.  A subspace needs at least two runs; every other
-    run count, candidate count and budget, and the stagnation window, is
-    an integer and at least 1.  Both initial steps are finite and
-    above 0, and ``step_tolerance`` is finite and at least 0.
+    Every search runs on the unit-energy sphere, from the fixed initial
+    steps, seeding exponents and subspace cone angle above.  Budgets are
+    per dimension: a target with N inputs gets ``optimal_budget_per_dim *
+    N`` evaluations for each optimal-stimulus run and
+    ``path_budget_per_dim * N`` per cone angle.  The cone angles
+    ``deltas``, at least one, are reals in (0, pi].  The seed is an
+    integer.  A subspace needs at least two runs; every other run count,
+    candidate count and budget, and the stagnation window, is an integer
+    and at least 1.
     """
 
     seed: int = 0
     optimal_runs: int = 2
     optimal_budget_per_dim: int = 100
-    optimal_sigma0: float = 0.3
     seed_candidates: int = 1000
-    alpha_set: tuple[float, ...] = (-4.0, -3.0, -2.0, -1.0, 0.0)
     deltas: tuple[float, ...] = field(default_factory=default_deltas)
     path_budget_per_dim: int = 20
-    path_sigma0: float = 0.1
     subspace_runs: int = 20
-    subspace_delta: float = 0.1 * np.pi
     reconstruct_runs: int = 10
     reconstruct_budget_per_dim: int = 100
     stagnation_window: int = 20
-    step_tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
-        check_fields(
-            self, _COUNTS, positive=("optimal_sigma0", "path_sigma0"),
-            nonnegative=("step_tolerance",), lists=("deltas", "alpha_set"),
-        )
+        check_fields(self, _COUNTS, lists=("deltas",))
         if not self.deltas:
             raise ValueError("deltas needs at least one cone angle")
-        for name, angles in (("deltas", self.deltas), ("subspace_delta", (self.subspace_delta,))):
-            for delta in angles:
-                if not (is_finite_real(delta) and 0 < delta <= np.pi):
-                    raise ValueError(f"{name} holds {delta!r}, not a real or outside (0, pi]")
-        if not self.alpha_set or not all(map(is_finite_real, self.alpha_set)):
-            raise ValueError(
-                f"alpha_set is {self.alpha_set}; it needs at least one exponent, all finite reals"
-            )
+        for delta in self.deltas:
+            if not (is_finite_real(delta) and 0 < delta <= np.pi):
+                raise ValueError(f"deltas holds {delta!r}, not a real or outside (0, pi]")
 
 
 @dataclass(frozen=True)
@@ -207,7 +202,6 @@ def _solver_config(config: SearchConfig, budget: int, sigma0: float, seed) -> So
     return SolverConfig(
         max_evaluations=budget,
         initial_step=sigma0,
-        step_tolerance=config.step_tolerance,
         stagnation_window=config.stagnation_window,
         seed=seed,
     )
@@ -253,7 +247,7 @@ def run_plans(plans: list[Plan]) -> list:
 def _seeded_searches(
     objective: ProjectedObjective, config: SearchConfig, label: str, runs: int, budget: int
 ) -> tuple[list[Search], list[tuple[float, int]]]:
-    """``runs`` sphere searches at ``optimal_sigma0``, run i started from
+    """``runs`` sphere searches at ``_OPTIMAL_SIGMA0``, run i started from
     the seeding drawn from stream (``label``, i, "init") and solved with
     seed (``label``, i, "solver"); also each seeding's best fitness and
     evaluation count."""
@@ -262,11 +256,11 @@ def _seeded_searches(
     for run in range(runs):
         init_rng = derive_rng(config.seed, label, run, "init")
         x0, init_fitness, init_evals = seeded_init(
-            objective, config.seed_candidates, config.alpha_set, init_rng
+            objective, config.seed_candidates, _ALPHA_SET, init_rng
         )
         seedings.append((init_fitness, init_evals))
         solver_config = _solver_config(
-            config, budget, config.optimal_sigma0, derive_seed(config.seed, label, run, "solver")
+            config, budget, _OPTIMAL_SIGMA0, derive_seed(config.seed, label, run, "solver")
         )
         searches.append(Search(objective, x0, solver_config))
     return searches, seedings
@@ -330,7 +324,7 @@ def _cone_search(
     solver_config = _solver_config(
         config,
         config.path_budget_per_dim * target.size,
-        config.path_sigma0,
+        _PATH_SIGMA0,
         derive_seed(config.seed, *labels, "solver"),
     )
     return Search(objective, start, solver_config, _SIGNS[kind])
@@ -364,14 +358,14 @@ def selectivity_path(target: TargetHandle, x_hat: Stimulus, config: SearchConfig
 
 def subspace_plan(target: TargetHandle, x_hat: Stimulus, config: SearchConfig, kind: str) -> Plan:
     """Plan of ``subspace_sample``: one round of ``subspace_runs``
-    searches at ``subspace_delta``, each from a random direction."""
+    searches at ``_SUBSPACE_DELTA``, each from a random direction."""
     outcomes = yield [
-        _cone_search(target, x_hat, config, config.subspace_delta, None, kind, "subspace", kind, i)
+        _cone_search(target, x_hat, config, _SUBSPACE_DELTA, None, kind, "subspace", kind, i)
         for i in range(config.subspace_runs)
     ]
     return SubspaceSample(
         kind=kind,
-        delta=config.subspace_delta,
+        delta=_SUBSPACE_DELTA,
         columns=tuple(point for point, _ in outcomes),
         fitnesses=tuple(float(trace.best_fitness) for _, trace in outcomes),
         anchor=x_hat,

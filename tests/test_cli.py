@@ -68,24 +68,26 @@ UNUSABLE_SEARCH = [
     {"seed_candidates": 16.5},
     {"optimal_budget_per_dim": 2.5},
     {"optimal_runs": True},
-    # values that would turn every search into a no-op or a non-finite start
+    # a value that would turn every search into a no-op
+    {"stagnation_window": 0},
+    # a bool is not a real
+    {"deltas": [True]},
+    # a scalar where a list belongs
+    {"deltas": 0.5},
+    # keys that are gone: the energy, and the fixed initial steps, step
+    # tolerance, seeding exponents and subspace angle, refused by name
+    # whatever their value
     {"energy": 0},
     {"energy": float("inf")},
     {"optimal_sigma0": 0},
     {"path_sigma0": -0.1},
-    {"stagnation_window": 0},
     {"step_tolerance": -1e-8},
     {"step_tolerance": float("nan")},
-    # no exponent to draw seeding noise from
     {"alpha_set": []},
     {"alpha_set": [float("nan")]},
-    # a bool is not a real, and a non-finite angle names its field
-    {"deltas": [True]},
     {"subspace_delta": True},
     {"alpha_set": [True, False]},
     {"subspace_delta": float("nan")},
-    # a scalar where a list belongs
-    {"deltas": 0.5},
     {"alpha_set": 2.0},
 ]
 UNUSABLE_IDS = [f"{key}={value}" for bad in UNUSABLE_SEARCH for key, value in bad.items()]
@@ -283,8 +285,7 @@ class TestCharacterize:
                      "--out", str(tmp_path / "char")]) == 1
         assert error_payload(capsys)["type"] == "ValueError"
 
-    @pytest.mark.parametrize("bad", [{"deltas": [4.0]}, {"deltas": [0.0, 0.5]},
-                                     {"subspace_delta": -0.1}])
+    @pytest.mark.parametrize("bad", [{"deltas": [4.0]}, {"deltas": [0.0, 0.5]}])
     def test_cone_angle_outside_range_is_config_error(self, tmp_path, capsys, bad):
         config = tmp_path / "search.json"
         config.write_text(json.dumps(dict(MICRO_SEARCH, **bad)))
@@ -1018,12 +1019,17 @@ class TestBench:
         assert not store.exists()
 
 
-# fields that could only restate or contradict another; even a value that
-# agrees is refused, by the file's own decoder
+# fields that could only restate or contradict another, and the search
+# settings that the protocol fixes; even a value that agrees is refused,
+# by the file's own decoder
 REMOVED_FIELDS = [
     ("spec", "top_layer_neurons", 32), ("spec", "declared_input", 21),
     ("solver", "energy", 1.0), ("task", "energy", 1.0),
     ("study.search", "energy", 1.0), ("study.task", "energy", 1.0),
+    ("study.search", "optimal_sigma0", 0.3), ("study.search", "path_sigma0", 0.1),
+    ("study.search", "step_tolerance", 1e-8),
+    ("study.search", "alpha_set", [-4.0, -3.0, -2.0, -1.0, 0.0]),
+    ("study.search", "subspace_delta", 0.1 * np.pi),
 ]
 
 

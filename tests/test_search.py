@@ -71,8 +71,7 @@ def make_rotational(seed=1, n=16):
 
 class TestConfig:
     @pytest.mark.parametrize("bad", [{"deltas": (4.0,)}, {"deltas": (0.0,)},
-                                     {"deltas": (0.3, -0.1)}, {"subspace_delta": 0.0},
-                                     {"subspace_delta": 3.5}])
+                                     {"deltas": (0.3, -0.1)}])
     def test_cone_angle_outside_range_rejected(self, bad):
         with pytest.raises(ValueError, match=r"outside \(0, pi\]"):
             SearchConfig(**bad)
@@ -80,7 +79,7 @@ class TestConfig:
             replace(FAST, **bad)
 
     def test_cone_angle_of_pi_accepted(self):
-        assert SearchConfig(deltas=(np.pi,), subspace_delta=np.pi).deltas == (np.pi,)
+        assert SearchConfig(deltas=(np.pi,)).deltas == (np.pi,)
 
 
 class TestObjectives:
