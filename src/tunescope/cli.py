@@ -103,6 +103,9 @@ def _master_seed(args, default: int = 0) -> int:
     return default if args.seed is None else args.seed
 
 
+_BUILTIN_TARGETS = ("linear", "quadratic")
+
+
 def _builtin_target(name: str, side: int, seed: int) -> TargetHandle:
     if side < 2:
         raise ValueError(f"--shape is {side}; a built-in target needs a side of at least 2")
@@ -115,8 +118,10 @@ def _builtin_target(name: str, side: int, seed: int) -> TargetHandle:
 
 
 def _load_target(token: str, side: int, seed: int) -> TargetHandle:
-    """Resolve a target token: builtin name, manifest file, or its directory."""
-    if token in ("linear", "quadratic"):
+    """Resolve a target token: builtin name, manifest file, or its directory.
+    A manifest's ``input_shape`` and ``response_dim`` must be those of the
+    network its spec and weights build."""
+    if token in _BUILTIN_TARGETS:
         return _builtin_target(token, side, seed)
     path = _require_path(token, "target")
     if path.is_dir():
@@ -130,7 +135,12 @@ def _load_target(token: str, side: int, seed: int) -> TargetHandle:
         raise ValueError(f"{path}: 'weights' must name a file, got {blob['weights']!r}")
     spec = spec_from_json(blob["spec"])
     kernels = read_network_weights(path.parent / blob["weights"])
-    return sthor_network(spec, kernels=kernels)
+    target = sthor_network(spec, kernels=kernels)
+    built = {"input_shape": list(target.input_shape), "response_dim": target.response_dim}
+    for key, value in built.items():
+        if blob.get(key) != value:
+            raise ValueError(f"{path}: {key} is {blob.get(key)!r}; its spec builds {value!r}")
+    return target
 
 
 def _task_spec(blob, input_shape: tuple[int, int], what: str) -> TaskSpec:
@@ -240,9 +250,10 @@ def _check_budgets(search: SearchConfig, n: int, kinds: tuple[str, ...]) -> None
             )
 
 
-def _resolve_target(args, budgets: tuple[str, ...]) -> _TargetRun:
+def _resolve_target(args, budgets: tuple[str, ...], flags: tuple[str, ...]) -> _TargetRun:
     """Load target, task and search; each budget kind the command runs
-    must buy one generation."""
+    must buy one generation.  ``run.json`` records every input that
+    changes the bundle: the shared ones and the command's own ``flags``."""
     seed = _master_seed(args)
     blob = _load_json(_require_path(args.config, "solver config")) if args.config else {}
     search = replace(_search_from(blob), seed=seed)
@@ -257,8 +268,10 @@ def _resolve_target(args, budgets: tuple[str, ...]) -> _TargetRun:
         "seed": seed,
         "search": asdict(search),
         "target": args.target,
+        "shape": args.shape if args.target in _BUILTIN_TARGETS else None,
         "unit": unit,
         "task": task_blob,
+        **{flag: getattr(args, flag) for flag in flags},
     }
     return _TargetRun(Path(args.out), seed, search, target, task, run_json)
 
@@ -268,7 +281,7 @@ _UNIT_BUDGETS = ("optimal", "path")
 
 
 def _resolve_characterize(args):
-    run = _resolve_target(args, _UNIT_BUDGETS)
+    run = _resolve_target(args, _UNIT_BUDGETS, ("walks",))
     if run.target.response_dim != 1:
         raise ValueError(f"target has {run.target.response_dim} outputs; pick one with --unit")
     if args.walks < 0:
@@ -304,7 +317,7 @@ def _characterize(run: _TargetRun, n_walks: int) -> None:
 
 
 def _resolve_measure(args):
-    run = _resolve_target(args, (*_UNIT_BUDGETS, "reconstruct"))
+    run = _resolve_target(args, (*_UNIT_BUDGETS, "reconstruct"), ("references", "unit_sample"))
     if run.target.response_dim == 1:
         raise ValueError(
             "target has 1 output; measure runs the population protocol, "

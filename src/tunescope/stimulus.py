@@ -256,6 +256,7 @@ def write_stimulus_csv(stimulus: Stimulus, path) -> None:
 
 
 def read_stimulus_csv(path) -> Stimulus:
+    """The stimulus of a ``write_stimulus_csv`` file, bit for bit."""
     with open(path, "r", encoding="ascii") as fh:
         height, width = (int(tok) for tok in fh.readline().strip().split(","))
         energy = float(fh.readline().strip())

@@ -473,6 +473,46 @@ def test_damaged_reader_input_exits_1_writing_nothing(reader_files, damage, keep
         assert not out.exists()
 
 
+@pytest.mark.parametrize("claims", [{"input_shape": [21, 21]}, {"response_dim": 99},
+                                    {"input_shape": [21, 21], "response_dim": 99}])
+def test_manifest_claim_contradicting_its_network_is_config_error(tmp_path, capsys,
+                                                                  reader_files, claims):
+    """The 11x11, 32-output net's manifest, edited to claim another shape
+    or output count, is refused by name before anything is written."""
+    net = tmp_path / "net"
+    net.mkdir()
+    for name, content in reader_files.items():
+        (net / name).write_bytes(content)
+    manifest = net / "manifest.json"
+    manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), **claims)))
+    out = tmp_path / "char"
+    assert main(["characterize", "--target", str(net), "--unit", "0", "--seed", "3",
+                 "--config", str(net / "search.json"), "--out", str(out)]) == 1
+    error = error_payload(capsys)
+    assert error["type"] == "ValueError" and str(manifest) in error["message"]
+    assert next(iter(claims)) in error["message"]
+    assert not out.exists()
+
+
+def test_run_json_records_every_bundle_flag(tmp_path, capsys, micro_config, task_file):
+    """``--shape`` of a built-in target, ``--walks``, ``--references`` and
+    ``--unit-sample`` each change the bundle, so ``run.json`` holds them;
+    ``--out`` does not."""
+    net = tmp_path / "net"
+    assert main(["gen-net", "--seed", "5", "--out", str(net)]) == 0
+    char, mea = tmp_path / "char", tmp_path / "mea"
+    assert main(["characterize", "--target", "linear", "--shape", "4", "--walks", "1",
+                 "--seed", "3", "--config", micro_config, "--out", str(char)]) == 0
+    assert main(["measure", "--target", str(net), "--task", task_file, "--references", "2",
+                 "--unit-sample", "1", "--seed", "3", "--config", micro_config,
+                 "--out", str(mea)]) == 0
+    char_run = json.loads((char / "run.json").read_text())
+    mea_run = json.loads((mea / "run.json").read_text())
+    assert (char_run["shape"], char_run["walks"]) == (4, 1)
+    assert (mea_run["shape"], mea_run["references"], mea_run["unit_sample"]) == (None, 2, 1)
+    assert "out" not in char_run and "out" not in mea_run
+
+
 class TestPathsAndSubspace:
     def test_negative_walks_is_config_error(self, tmp_path, capsys, micro_config):
         out = tmp_path / "out"
@@ -652,21 +692,20 @@ class TestEncodeAndMeasure:
         assert "--unit-sample" in error_payload(capsys)["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, count", [("measure", 0), ("measure", 99)])
+    @pytest.mark.parametrize("count", [0, 99])
     def test_reference_count_outside_task_is_config_error(self, tmp_path, capsys, micro_config,
-                                                          task_file, command, count):
+                                                          task_file, count):
         net = tmp_path / "net"
         assert main(["gen-net", "--seed", "5", "--out", str(net)]) == 0
         capsys.readouterr()
         out = tmp_path / "out"
-        assert main([command, "--target", str(net), "--task", task_file,
+        assert main(["measure", "--target", str(net), "--task", task_file,
                      "--references", str(count), "--seed", "3",
                      "--config", micro_config, "--out", str(out)]) == 1
         assert f"cannot draw {count} references" in error_payload(capsys)["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["measure"])
-    def test_side_below_ssim_window_is_config_error(self, tmp_path, capsys, command):
+    def test_side_below_ssim_window_is_config_error(self, tmp_path, capsys):
         # a 3x3 receptive field cannot hold the 11-pixel window that
         # encoding specificity compares reconstructions through
         spec = spec_to_json(default_l1_spec())
@@ -680,7 +719,7 @@ class TestEncodeAndMeasure:
         task = tmp_path / "task.json"
         task.write_text(json.dumps({"n_classes": 2, "samples_per_class": 2}))
         out = tmp_path / "out"
-        assert main([command, "--target", str(net), "--task", str(task), "--references", "1",
+        assert main(["measure", "--target", str(net), "--task", str(task), "--references", "1",
                      "--seed", "3", "--config", str(config), "--out", str(out)]) == 1
         assert "window 11 exceeds image side 3" in error_payload(capsys)["message"]
         assert not out.exists()
